@@ -155,8 +155,10 @@ void BM_BatchQueryThreads(benchmark::State& state) {
     static C2lshIndex idx = std::move(r).value();
     return &idx;
   }();
+  C2lshIndex::BatchQueryOptions options;
+  options.num_shards = threads;
   for (auto _ : state) {
-    auto r = index.BatchQuery(pd.data, pd.queries, 10, threads);
+    auto r = index.QueryBatch(pd.data, pd.queries, 10, options);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * 64);

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "src/core/virtual_rehash.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/storage/blob.h"
+#include "src/storage/page_model.h"
 #include "src/util/timer.h"
-#include "src/vector/distance.h"
 
 namespace c2lsh {
 
@@ -22,23 +20,9 @@ namespace {
 constexpr uint32_t kMetaMagic = 0xC25D1234;
 constexpr uint32_t kMetaMagicV2 = 0xC25D1235;
 
-// Registry handles for the disk query path, resolved once; RunDiskQuery
-// flushes its per-query stats through these at the end of each query.
+// Registry handles for the disk mutation path, resolved once. Query
+// instruments live with the round engine (batch::DiskInstruments).
 struct DiskMetrics {
-  obs::Counter* queries;
-  obs::Counter* rounds;
-  obs::Counter* collision_increments;
-  obs::Counter* candidates_verified;
-  obs::Counter* buckets_scanned;
-  obs::Counter* t1;
-  obs::Counter* t2;
-  obs::Counter* exhausted;
-  obs::Counter* deadline;
-  obs::Counter* cancelled;
-  obs::Counter* degraded_queries;
-  obs::Counter* tables_skipped;
-  obs::Counter* candidates_skipped;
-  obs::Histogram* latency;
   obs::Counter* compaction_runs;
   obs::Histogram* compaction_millis;
   obs::Gauge* overlay_entries;
@@ -49,34 +33,6 @@ const DiskMetrics& Metrics() {
   static const DiskMetrics m = [] {
     auto& r = obs::MetricsRegistry::Global();
     return DiskMetrics{
-        r.GetCounter("disk_c2lsh_queries_total", "Disk C2LSH queries answered"),
-        r.GetCounter("disk_c2lsh_rounds_total",
-                     "Virtual-rehashing rounds executed by disk queries"),
-        r.GetCounter("disk_c2lsh_collision_increments_total",
-                     "Collision-counter increments (disk queries)"),
-        r.GetCounter("disk_c2lsh_candidates_verified_total",
-                     "Exact distance verifications (disk queries)"),
-        r.GetCounter("disk_c2lsh_buckets_scanned_total",
-                     "Hash buckets visited (disk queries)"),
-        r.GetCounter("disk_c2lsh_queries_t1_total",
-                     "Disk queries terminated by T1"),
-        r.GetCounter("disk_c2lsh_queries_t2_total",
-                     "Disk queries terminated by T2"),
-        r.GetCounter("disk_c2lsh_queries_exhausted_total",
-                     "Disk queries that covered every readable bucket"),
-        r.GetCounter("disk_c2lsh_queries_deadline_total",
-                     "Disk queries stopped by a deadline or page budget "
-                     "(partial results)"),
-        r.GetCounter("disk_c2lsh_queries_cancelled_total",
-                     "Disk queries cooperatively cancelled (partial results)"),
-        r.GetCounter("disk_c2lsh_degraded_queries_total",
-                     "Disk queries answered while skipping corrupt pages"),
-        r.GetCounter("disk_c2lsh_tables_skipped_total",
-                     "Hash tables dropped mid-query on a corrupt index page"),
-        r.GetCounter("disk_c2lsh_candidates_skipped_total",
-                     "Candidates dropped mid-query on a corrupt data page"),
-        r.GetHistogram("disk_c2lsh_query_millis",
-                       "Disk C2LSH query latency in milliseconds"),
         r.GetCounter("disk_c2lsh_compaction_runs_total",
                      "Disk index compactions completed (WAL truncated)"),
         r.GetHistogram("disk_c2lsh_compaction_millis",
@@ -89,39 +45,6 @@ const DiskMetrics& Metrics() {
     };
   }();
   return m;
-}
-
-void FlushDiskQueryMetrics(const DiskQueryStats& st, double millis,
-                           uint64_t exemplar_id) {
-  const DiskMetrics& m = Metrics();
-  m.queries->Increment();
-  m.rounds->Increment(st.base.rounds);
-  m.collision_increments->Increment(st.base.collision_increments);
-  m.candidates_verified->Increment(st.base.candidates_verified);
-  m.buckets_scanned->Increment(st.base.buckets_scanned);
-  switch (st.base.termination) {
-    case Termination::kT1:
-      m.t1->Increment();
-      break;
-    case Termination::kT2:
-      m.t2->Increment();
-      break;
-    case Termination::kExhausted:
-      m.exhausted->Increment();
-      break;
-    case Termination::kDeadline:
-      m.deadline->Increment();
-      break;
-    case Termination::kCancelled:
-      m.cancelled->Increment();
-      break;
-    case Termination::kNone:
-      break;
-  }
-  if (st.degraded) m.degraded_queries->Increment();
-  m.tables_skipped->Increment(st.tables_skipped);
-  m.candidates_skipped->Increment(st.candidates_skipped);
-  m.latency->Observe(millis, exemplar_id);
 }
 
 // Serializes the full index metadata (v2) and returns the blob's root page.
@@ -297,8 +220,6 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
   index.dim_ = data.dim();
   index.radius_cap_ = radius_cap;
   index.family_ = std::make_unique<PStableFamily>(std::move(family));
-  index.counter_.EnsureCapacity(index.num_objects_);
-  index.verified_.assign(index.num_objects_, 0);
   index.pool_->ResetStats();
   return index;
 }
@@ -396,9 +317,6 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Open(const std::string& path, size_t pool
                    })
           .status());
   index.UpdateMutationGauges();
-
-  index.counter_.EnsureCapacity(index.num_objects_);
-  index.verified_.assign(index.num_objects_, 0);
   index.pool_->ResetStats();
   return index;
 }
@@ -646,59 +564,125 @@ Status DiskC2lshIndex::LoadVector(ObjectId id, float* out,
   return ReadStoredVector(id, out, ctx);
 }
 
+// The round engine's disk seams for one query: bucket runs come through the
+// BufferPool with the query's context (measured misses charged as index
+// pages), candidate vectors from the caller's Dataset (modelled pages) or
+// the stored data segment (measured misses charged as data pages).
+class DiskC2lshIndex::Source final : public batch::Source {
+ public:
+  Source(const DiskC2lshIndex& index, const Dataset* data, const QueryContext* ctx)
+      : batch::Source(*index.family_, index.derived_, index.num_objects_,
+                      index.radius_cap_, /*descent_pages=*/0, batch::DiskInstruments()),
+        index_(index),
+        data_(data),
+        ctx_(ctx),
+        pool_before_(index.pool_->stats()),
+        vector_pages_(PageModel(index.options_.page_bytes).PagesPerVector(index.dim_)),
+        vector_buf_(index.dim_) {}
+
+  Status Scan(size_t table, const BucketRange& range, batch::BucketScan* out) override {
+    // Range boundaries (and the table's entry-page boundaries below) are the
+    // disk scan's checkpoints: each may cost real reads, so an ended
+    // context stops before paying for them.
+    if (ctx_ != nullptr && ctx_->CheckNow() != Termination::kNone) {
+      return Status::Unavailable("DiskC2LSH: query context ended");
+    }
+    const uint64_t misses_before = index_.pool_->stats().misses;
+    Result<size_t> visited = index_.tables_[table].ForEachInRange(
+        range.lo, range.hi, [out](ObjectId id) { out->ids.push_back(id); }, ctx_);
+    out->index_pages = index_.pool_->stats().misses - misses_before;
+    if (!visited.ok()) return visited.status();
+    out->buckets_scanned = visited.value();
+    return Status::OK();
+  }
+
+  bool Covers(size_t table, const BucketRange& range) const override {
+    const DiskBucketTable& t = index_.tables_[table];
+    return t.num_buckets() == 0 || t.EntriesInRange(range.lo, range.hi) >= t.num_entries();
+  }
+
+  Status Vector(ObjectId id, const float** vec, uint64_t* pages) override {
+    if (data_ != nullptr) {
+      *vec = data_->object(id);
+      *pages += vector_pages_;  // modelled (external data)
+      return Status::OK();
+    }
+    const uint64_t misses_before = index_.pool_->stats().misses;
+    C2LSH_RETURN_IF_ERROR(index_.LoadVector(id, vector_buf_.data(), ctx_));
+    *pages += index_.pool_->stats().misses - misses_before;
+    *vec = vector_buf_.data();
+    return Status::OK();
+  }
+
+  // The page budget counts measured pool misses only: modelled data pages
+  // of an external Dataset cost no pool traffic.
+  uint64_t BudgetPages(const C2lshQueryStats& st) const override {
+    return st.index_pages + (data_ == nullptr ? st.data_pages : 0);
+  }
+
+  void Finish(batch::QueryRecord* record) const override {
+    const BufferPoolStats now = index_.pool_->stats();
+    record->pool_hits = now.hits - pool_before_.hits;
+    record->pool_misses = now.misses - pool_before_.misses;
+  }
+
+ private:
+  const DiskC2lshIndex& index_;
+  const Dataset* data_;
+  const QueryContext* ctx_;
+  const BufferPoolStats pool_before_;
+  const uint64_t vector_pages_;
+  std::vector<float> vector_buf_;
+};
+
+Status DiskC2lshIndex::CheckVectorSource(const Dataset* data) const {
+  if (data == nullptr) {
+    if (first_data_page_ != 0) return Status::OK();
+    return Status::NotSupported(
+        "DiskC2LSH: this index was built without a data segment; pass the Dataset "
+        "to the query or rebuild with store_vectors = true");
+  }
+  if (data->dim() != dim_) {
+    return Status::InvalidArgument("DiskC2LSH query: dataset dim mismatch");
+  }
+  if (data->size() < num_objects_) {
+    return Status::InvalidArgument("DiskC2LSH query: dataset smaller than the index");
+  }
+  return Status::OK();
+}
+
 Result<NeighborList> DiskC2lshIndex::Query(const float* query, size_t k,
                                            DiskQueryStats* stats,
                                            obs::QueryTrace* trace,
                                            const QueryContext* ctx) const {
-  if (first_data_page_ == 0) {
-    return Status::NotSupported(
-        "DiskC2LSH: this index was built without a data segment; pass the Dataset "
-        "to Query or rebuild with store_vectors = true");
-  }
-  return RunDiskQuery(nullptr, query, k, stats, trace, ctx);
+  return QueryOne(nullptr, query, k, stats, trace, ctx);
 }
 
 Result<NeighborList> DiskC2lshIndex::Query(const Dataset& data, const float* query,
                                            size_t k, DiskQueryStats* stats,
                                            obs::QueryTrace* trace,
                                            const QueryContext* ctx) const {
-  if (data.dim() != dim_) {
-    return Status::InvalidArgument("DiskC2LSH query: dataset dim mismatch");
-  }
-  if (data.size() < num_objects_) {
-    return Status::InvalidArgument("DiskC2LSH query: dataset smaller than the index");
-  }
-  return RunDiskQuery(&data, query, k, stats, trace, ctx);
+  return QueryOne(&data, query, k, stats, trace, ctx);
 }
 
 Result<std::vector<NeighborList>> DiskC2lshIndex::QueryBatch(
     const FloatMatrix& queries, size_t k, std::vector<DiskQueryStats>* stats,
     const std::vector<const QueryContext*>& contexts) const {
-  if (first_data_page_ == 0) {
-    return Status::NotSupported(
-        "DiskC2LSH: this index was built without a data segment; pass the Dataset "
-        "to QueryBatch or rebuild with store_vectors = true");
-  }
-  return RunDiskBatch(nullptr, queries, k, stats, contexts);
+  return QueryRows(nullptr, queries, k, stats, contexts);
 }
 
 Result<std::vector<NeighborList>> DiskC2lshIndex::QueryBatch(
     const Dataset& data, const FloatMatrix& queries, size_t k,
     std::vector<DiskQueryStats>* stats,
     const std::vector<const QueryContext*>& contexts) const {
-  if (data.dim() != dim_) {
-    return Status::InvalidArgument("DiskC2LSH query: dataset dim mismatch");
-  }
-  if (data.size() < num_objects_) {
-    return Status::InvalidArgument("DiskC2LSH query: dataset smaller than the index");
-  }
-  return RunDiskBatch(&data, queries, k, stats, contexts);
+  return QueryRows(&data, queries, k, stats, contexts);
 }
 
-Result<std::vector<NeighborList>> DiskC2lshIndex::RunDiskBatch(
+Result<std::vector<NeighborList>> DiskC2lshIndex::QueryRows(
     const Dataset* data, const FloatMatrix& queries, size_t k,
     std::vector<DiskQueryStats>* stats,
     const std::vector<const QueryContext*>& contexts) const {
+  C2LSH_RETURN_IF_ERROR(CheckVectorSource(data));
   if (k == 0) return Status::InvalidArgument("DiskC2LSH query: k must be positive");
   if (queries.dim() != dim_) {
     return Status::InvalidArgument("DiskC2LSH QueryBatch: query dim mismatch");
@@ -710,309 +694,35 @@ Result<std::vector<NeighborList>> DiskC2lshIndex::RunDiskBatch(
         "per query row");
   }
   std::vector<NeighborList> results(nq);
-  std::vector<DiskQueryStats> local_stats;
-  std::vector<DiskQueryStats>* st = (stats != nullptr) ? stats : &local_stats;
-  st->assign(nq, DiskQueryStats());
-  if (nq == 0) return results;
-
-  // Layer 1 only: the whole batch is bucketed in one query-major blocked
-  // projection pass. The scan/verify rounds stay sequential per query — the
-  // disk index is single-reader by contract (one scratch, one buffer pool,
-  // one WAL cursor), so the in-memory engine's shard parallelism does not
-  // apply here.
-  const size_t m = tables_.size();
-  std::vector<BucketId> qbuckets;
-  family_->BucketAllMulti(queries.row(0), nq, queries.dim(), &qbuckets);
-
+  if (stats != nullptr) stats->assign(nq, DiskQueryStats());
   for (size_t q = 0; q < nq; ++q) {
-    const QueryContext* ctx = contexts.empty() ? nullptr : contexts[q];
-    Result<NeighborList> r =
-        RunDiskQuery(data, queries.row(q), k, &(*st)[q], /*trace=*/nullptr, ctx,
-                     qbuckets.data() + q * m);
-    if (!r.ok()) return r.status();
-    results[q] = std::move(r).value();
+    C2LSH_ASSIGN_OR_RETURN(
+        results[q],
+        QueryOne(data, queries.row(q), k, stats != nullptr ? &(*stats)[q] : nullptr,
+                 /*trace=*/nullptr, contexts.empty() ? nullptr : contexts[q]));
   }
   return results;
 }
 
-Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const float* query,
-                                                  size_t k, DiskQueryStats* stats,
-                                                  obs::QueryTrace* trace,
-                                                  const QueryContext* ctx,
-                                                  const BucketId* qbuckets_in) const {
+Result<NeighborList> DiskC2lshIndex::QueryOne(const Dataset* data, const float* query,
+                                              size_t k, DiskQueryStats* stats,
+                                              obs::QueryTrace* trace,
+                                              const QueryContext* ctx) const {
+  C2LSH_RETURN_IF_ERROR(CheckVectorSource(data));
   if (k == 0) return Status::InvalidArgument("DiskC2LSH query: k must be positive");
-  DiskQueryStats local;
-  DiskQueryStats* st = (stats != nullptr) ? stats : &local;
-  *st = DiskQueryStats();
-  const bool tracing = trace != nullptr;
-  if (tracing) trace->Clear();
-  // Same sampling contract as the in-memory RunQuery: one id ties this
-  // query's spans, latency exemplar, and any flight-recorder dump together.
-  const bool sampled = obs::Tracer::Global().SampleQuery(ctx);
-  const uint64_t span_query_id =
-      ctx != nullptr && ctx->trace_id != 0
-          ? ctx->trace_id
-          : (sampled ? obs::Tracer::Global().NextQueryId() : 0);
-  obs::ScopedSpan query_span(obs::SpanSubsystem::kQuery, "disk_c2lsh_query",
-                             span_query_id, sampled);
-  Timer query_timer;
-  const BufferPoolStats pool_before = pool_->stats();
-
-  counter_.NewQuery();
-  counter_.EnsureCapacity(num_objects_);
-  if (verified_.size() < num_objects_) verified_.resize(num_objects_, 0);
-  for (ObjectId id : touched_) verified_[id] = 0;
-  touched_.clear();
-  table_bad_.assign(tables_.size(), 0);
-
-  const size_t m = tables_.size();
-  const uint32_t l = static_cast<uint32_t>(derived_.l);
-  const long long c_int = static_cast<long long>(std::llround(derived_.model.c));
-  const size_t t2_threshold = std::min<size_t>(
-      num_objects_,
-      k + static_cast<size_t>(
-              std::ceil(derived_.beta * static_cast<double>(num_objects_))));
-
-  // QueryBatch hands in the buckets from its batched projection pass
-  // (bit-identical to BucketAll by the dot_rows_multi exactness contract);
-  // a lone query computes its own.
-  std::vector<BucketId> qbuckets_storage;
-  if (qbuckets_in == nullptr) {
-    family_->BucketAll(query, &qbuckets_storage);
-    qbuckets_in = qbuckets_storage.data();
-  }
-  const BucketId* qbuckets = qbuckets_in;
-
-  std::vector<BucketRange> prev(m);
-  NeighborList found;
-  found.reserve(t2_threshold + m);
-  const PageModel data_model(options_.page_bytes);
-  const uint64_t vector_pages = data_model.PagesPerVector(dim_);
-  vector_buf_.resize(dim_);
-  uint64_t data_misses = 0;
-
-  auto interval = [&](BucketId qb, long long R) -> BucketRange {
-    if (R > radius_cap_) {
-      constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
-      constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
-      return BucketRange{kLo, kHi};
-    }
-    return QueryIntervalAtRadius(qb, R);
-  };
-
-  // Cooperative-stop state, same contract as the in-memory RunQuery: kNone
-  // while running; once set, every remaining scan is skipped and the query
-  // returns its partial results under that Termination.
-  Termination early_stop = Termination::kNone;
-
-  Status scan_status;
-  auto scan_range = [&](size_t table_idx, const BucketRange& range) {
-    if (range.empty() || !scan_status.ok() || table_bad_[table_idx] != 0) return;
-    if (ctx != nullptr && early_stop == Termination::kNone) {
-      early_stop = ctx->CheckNow();
-    }
-    if (early_stop != Termination::kNone) return;
-    Result<size_t> visited = tables_[table_idx].ForEachInRange(
-        range.lo, range.hi,
-        [&](ObjectId id) {
-          if (early_stop != Termination::kNone) return;
-          ++st->base.collision_increments;
-          if (ctx != nullptr && ctx->cancelled()) {
-            early_stop = Termination::kCancelled;
-            return;
-          }
-          if (verified_[id] != 0) return;
-          if (counter_.Increment(id) == l) {
-            verified_[id] = 1;
-            touched_.push_back(id);
-            const float* vec = nullptr;
-            if (data != nullptr) {
-              vec = data->object(id);
-              st->base.data_pages += vector_pages;  // modelled (external data)
-            } else {
-              const uint64_t misses_before = pool_->stats().misses;
-              if (Status s = LoadVector(id, vector_buf_.data(), ctx); !s.ok()) {
-                if (s.IsCorruption()) {
-                  // The candidate's stored vector is unreadable: drop it and
-                  // flag the answer as degraded rather than returning a
-                  // distance computed from garbage bytes.
-                  st->degraded = true;
-                  ++st->candidates_skipped;
-                  return;
-                }
-                if (ctx != nullptr &&
-                    (ctx->CheckNow() != Termination::kNone || s.IsUnavailable())) {
-                  // The retry layer gave up because the query's budget ended,
-                  // not because the device failed hard: stop with partial
-                  // results instead of surfacing an error. A still-transient
-                  // Unavailable under a context can only mean abandonment —
-                  // possibly *before* the deadline strictly expires, when the
-                  // remaining budget cannot cover the next backoff — so it
-                  // converts even while CheckNow() is still kNone.
-                  const Termination now = ctx->CheckNow();
-                  early_stop = now != Termination::kNone ? now : Termination::kDeadline;
-                  return;
-                }
-                scan_status = s;
-                return;
-              }
-              data_misses += pool_->stats().misses - misses_before;
-              vec = vector_buf_.data();
-            }
-            const double dist = L2(query, vec, dim_);
-            found.push_back(Neighbor{id, static_cast<float>(dist)});
-            ++st->base.candidates_verified;
-          }
-        },
-        ctx);
-    if (!visited.ok()) {
-      if (visited.status().IsCorruption()) {
-        // A table page failed its checksum: drop this table for the rest of
-        // the query. Collision counts only ever come from verified page
-        // reads, so skipping can under-count (fewer candidates, flagged
-        // below) but never mis-count.
-        st->degraded = true;
-        ++st->tables_skipped;
-        table_bad_[table_idx] = 1;
-        return;
-      }
-      if (ctx != nullptr && (ctx->CheckNow() != Termination::kNone ||
-                             visited.status().IsUnavailable())) {
-        // As above: an abandoned retry under the query's context is an early
-        // stop, not an error.
-        const Termination now = ctx->CheckNow();
-        early_stop = now != Termination::kNone ? now : Termination::kDeadline;
-        return;
-      }
-      scan_status = visited.status();
-      return;
-    }
-    st->base.buckets_scanned += visited.value();
-  };
-
-  long long R = 1;
-  Timer round_timer;
-  while (true) {
-    // Round boundary: the full context check — deadline, cancellation, and
-    // the I/O-page budget against *measured* pool misses so far. A
-    // pre-expired context runs zero rounds and returns empty.
-    if (ctx != nullptr && early_stop == Termination::kNone) {
-      early_stop = ctx->Check(pool_->stats().misses - pool_before.misses);
-    }
-    if (early_stop != Termination::kNone) {
-      st->base.termination = early_stop;
-      break;
-    }
-    ++st->base.rounds;
-    st->base.final_radius = R;
-    obs::ScopedSpan round_span(obs::SpanSubsystem::kRound, "round",
-                               span_query_id, sampled);
-    C2lshQueryStats before;
-    uint64_t misses_at_round_start = 0;
-    uint64_t data_misses_at_round_start = 0;
-    if (tracing) {
-      round_timer.Reset();
-      before = st->base;
-      misses_at_round_start = pool_->stats().misses;
-      data_misses_at_round_start = data_misses;
-    }
-    bool all_covered = true;
-    for (size_t i = 0; i < m; ++i) {
-      if (early_stop != Termination::kNone) break;
-      const BucketRange next = interval(qbuckets[i], R);
-      const RangeDelta delta = ComputeRangeDelta(prev[i], next);
-      scan_range(i, delta.left);
-      scan_range(i, delta.right);
-      if (!scan_status.ok()) return scan_status;
-      prev[i] = next;
-      if (table_bad_[i] == 0 && tables_[i].num_buckets() > 0 &&
-          tables_[i].EntriesInRange(next.lo, next.hi) < tables_[i].num_entries()) {
-        all_covered = false;
-      }
-    }
-
-    // T1 is evaluated even after an early stop: if the partial scan already
-    // proved the answer, the query keeps the full-quality termination.
-    const double cr = derived_.model.c * static_cast<double>(R);
-    size_t within = 0;
-    for (const Neighbor& nb : found) {
-      if (nb.dist <= cr) ++within;
-      if (within >= k) break;
-    }
-    if (within >= k) {
-      st->base.termination = Termination::kT1;
-    } else if (found.size() >= t2_threshold) {
-      st->base.termination = Termination::kT2;
-    } else if (early_stop != Termination::kNone) {
-      // Partial results; beats kExhausted because an interrupted round never
-      // evaluated the remaining tables' coverage.
-      st->base.termination = early_stop;
-    } else if (all_covered) {
-      st->base.termination = Termination::kExhausted;
-    }
-    if (tracing) {
-      obs::QueryRoundSpan span;
-      span.radius = R;
-      span.buckets_scanned = st->base.buckets_scanned - before.buckets_scanned;
-      span.collision_increments =
-          st->base.collision_increments - before.collision_increments;
-      span.candidates_verified =
-          st->base.candidates_verified - before.candidates_verified;
-      // Index pages this round: measured pool misses minus the misses
-      // attributed to data-segment vector reads.
-      const uint64_t round_misses =
-          pool_->stats().misses - misses_at_round_start;
-      const uint64_t round_data_misses =
-          data_misses - data_misses_at_round_start;
-      span.index_pages = round_misses - round_data_misses;
-      span.t1_fired = st->base.termination == Termination::kT1;
-      span.t2_fired = st->base.termination == Termination::kT2;
-      span.millis = round_timer.ElapsedMillis();
-      trace->rounds.push_back(span);
-    }
-    if (st->base.termination != Termination::kNone) break;
-    R *= c_int;
-  }
-
-  const BufferPoolStats pool_after = pool_->stats();
-  st->pool_hits = pool_after.hits - pool_before.hits;
-  st->pool_misses = pool_after.misses - pool_before.misses;
-  // Measured, not simulated: pool misses split into index probes and (when
-  // the data segment serves verification) vector reads.
-  st->base.index_pages = st->pool_misses - data_misses;
-  if (data == nullptr) {
-    st->base.data_pages = data_misses;
-  }
-
-  std::sort(found.begin(), found.end(), NeighborLess());
-  if (found.size() > k) found.resize(k);
-  const double total_millis = query_timer.ElapsedMillis();
-  if (tracing) {
-    trace->termination = st->base.termination;
-    trace->total_millis = total_millis;
-    trace->pool_hits = st->pool_hits;
-    trace->pool_misses = st->pool_misses;
-    trace->degraded = st->degraded;
-  }
-  FlushDiskQueryMetrics(*st, total_millis, span_query_id);
-  // End the query span before the anomaly hook: a flight dump snapshots the
-  // rings, and an open span has not reached its ring yet.
-  query_span.End();
-  if (obs::FlightRecorder::Global().enabled()) {
-    if (tracing) {
-      obs::MaybeRecordQueryAnomaly("disk_c2lsh_query", span_query_id, *trace);
-    } else {
-      obs::QueryTrace anomaly_trace;
-      anomaly_trace.termination = st->base.termination;
-      anomaly_trace.total_millis = total_millis;
-      anomaly_trace.pool_hits = st->pool_hits;
-      anomaly_trace.pool_misses = st->pool_misses;
-      anomaly_trace.degraded = st->degraded;
-      obs::MaybeRecordQueryAnomaly("disk_c2lsh_query", span_query_id,
-                                   anomaly_trace);
-    }
-  }
-  return found;
+  Source source(*this, data, ctx);
+  batch::Block block;
+  block.queries = query;
+  block.num_queries = 1;
+  block.qstride = dim_;
+  block.k = k;
+  block.ctxs = &ctx;
+  block.traces = &trace;
+  NeighborList result;
+  DiskQueryStats record;
+  C2LSH_RETURN_IF_ERROR(batch::RunBatchBlock(source, block, &result, &record));
+  if (stats != nullptr) *stats = record;
+  return result;
 }
 
 }  // namespace c2lsh

@@ -8,11 +8,13 @@
 //   ...      per-table entry pages + directory blobs (DiskBucketTable)
 //   ...      meta blob: options, derived params, hash functions, table roots
 //
-// The query algorithm is identical to C2lshIndex (incremental virtual
-// rehashing, T1/T2 termination); candidate vectors live with the caller's
-// Dataset, and their fetch cost is charged via the analytic model as in the
-// in-memory index (the paper likewise separates index I/O from the one
-// random data access per candidate).
+// Queries run through the same round engine as C2lshIndex (src/core/
+// batch.h), each as a block of one fed by a disk bucket source: entry pages
+// come through the BufferPool, so pool misses are the measured index I/O.
+// Candidate vectors come from the stored data segment (measured), or from
+// the caller's Dataset with their fetch cost charged via the analytic model
+// as in the in-memory index (the paper likewise separates index I/O from the
+// one random data access per candidate).
 //
 // Mutability & crash safety: Insert/Delete append an LSN-stamped record to a
 // write-ahead log beside the index file (<path>.wal) and acknowledge only
@@ -35,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/counter.h"
+#include "src/core/batch.h"
 #include "src/core/index.h"
 #include "src/core/params.h"
 #include "src/lsh/pstable.h"
@@ -49,22 +51,9 @@
 
 namespace c2lsh {
 
-/// Query statistics with measured pool I/O.
-struct DiskQueryStats {
-  C2lshQueryStats base;   ///< rounds, candidates, etc. index_pages here is
-                          ///< the MEASURED pool-miss count.
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-
-  /// Degraded-query accounting: when an index or data page fails its
-  /// checksum mid-query, the query drops the affected table (or candidate)
-  /// instead of aborting — the results are still genuine neighbors with
-  /// exact distances, but possibly fewer of them. `degraded` is the signal
-  /// that the answer may be incomplete; it is NEVER silently wrong.
-  bool degraded = false;
-  uint64_t tables_skipped = 0;      ///< hash tables dropped on a corrupt page
-  uint64_t candidates_skipped = 0;  ///< candidates dropped on a corrupt data page
-};
+/// Query statistics with measured pool I/O and the degraded-query
+/// accounting — the round engine's per-query record (see batch::QueryRecord).
+using DiskQueryStats = batch::QueryRecord;
 
 /// The disk-resident C2LSH index.
 class DiskC2lshIndex {
@@ -95,9 +84,10 @@ class DiskC2lshIndex {
   /// applies the mutation to the per-table overlays — a return of OK means
   /// the insert survives any crash. The id becomes the new high-water when
   /// it extends the id space. Mutators and queries on a DiskC2lshIndex share
-  /// per-query scratch and the single WAL cursor: callers must serialize
-  /// Insert/Delete/Compact/Query externally (single-writer, single-reader;
-  /// the in-memory C2lshIndex is the concurrent-query engine).
+  /// the buffer pool's measured statistics, the overlays and the single WAL
+  /// cursor: callers must serialize Insert/Delete/Compact/Query externally
+  /// (single-writer, single-reader; the in-memory C2lshIndex is the
+  /// concurrent-query engine).
   Status Insert(ObjectId id, const float* v);
 
   /// Dynamic delete: logs a tombstone, syncs, then hides `id` from every
@@ -129,8 +119,8 @@ class DiskC2lshIndex {
   /// (measured pool misses) the query returns best-effort partial results
   /// with termination kDeadline / kCancelled — never an error; an expired
   /// context also stops in-flight transient-fault retries (util/retry.h).
-  /// Single-threaded: queries share one scratch and must also be serialized
-  /// against Insert/Delete/Compact (see Insert).
+  /// Single-reader: queries must be serialized with each other and against
+  /// Insert/Delete/Compact (see Insert).
   Result<NeighborList> Query(const float* query, size_t k,
                              DiskQueryStats* stats = nullptr,
                              obs::QueryTrace* trace = nullptr,
@@ -146,16 +136,14 @@ class DiskC2lshIndex {
                              const QueryContext* ctx = nullptr) const;
 
   /// Batched c-k-ANN against the stored data segment: one query per row of
-  /// `queries`, answers identical to looping Query(). The projection layer is
-  /// batched — all rows are bucketed in one query-major GEMM-style pass
-  /// (PStableFamily::BucketAllMulti, bit-identical to per-query bucketing) —
-  /// but the scan/verify rounds run sequentially per query: the disk index
-  /// is documented single-reader (one scratch, one WAL cursor, one buffer
-  /// pool), so unlike C2lshIndex::QueryBatch there is no shard parallelism
-  /// here. `contexts`, when non-empty, holds one (nullable) QueryContext per
-  /// row with the usual per-query deadline/cancellation/budget semantics —
-  /// one query expiring never perturbs its batchmates. `stats`, when
-  /// non-null, is resized to one entry per query.
+  /// `queries`, answers identical to looping Query() — each row runs as its
+  /// own block of one: the disk index is single-reader (one WAL cursor, one
+  /// buffer pool whose statistics measure each query's I/O), so unlike
+  /// C2lshIndex::QueryBatch there are no shared scans and no sharding here.
+  /// `contexts`, when non-empty, holds one (nullable) QueryContext per row
+  /// with the usual per-query deadline/cancellation/budget semantics — one
+  /// query expiring never perturbs its batchmates. `stats`, when non-null,
+  /// is resized to one entry per query.
   Result<std::vector<NeighborList>> QueryBatch(
       const FloatMatrix& queries, size_t k,
       std::vector<DiskQueryStats>* stats = nullptr,
@@ -209,17 +197,21 @@ class DiskC2lshIndex {
  private:
   DiskC2lshIndex() = default;
 
-  /// Shared query loop. `data` may be null when vectors are stored.
-  /// `qbuckets`, when non-null, holds the query's num_tables() precomputed
-  /// bucket ids (QueryBatch's batched projection); null recomputes them.
-  Result<NeighborList> RunDiskQuery(const Dataset* data, const float* query, size_t k,
-                                    DiskQueryStats* stats, obs::QueryTrace* trace,
-                                    const QueryContext* ctx,
-                                    const BucketId* qbuckets = nullptr) const;
+  /// The round engine's disk bucket and vector source (disk_index.cc).
+  class Source;
 
-  /// Shared validation + projection + sequential loop behind both QueryBatch
-  /// overloads.
-  Result<std::vector<NeighborList>> RunDiskBatch(
+  /// OK when candidates can be verified: against `data`, which must match
+  /// the index, or (null) against the stored data segment.
+  Status CheckVectorSource(const Dataset* data) const;
+
+  /// One query as a block of one through the round engine. `data` may be
+  /// null when vectors are stored.
+  Result<NeighborList> QueryOne(const Dataset* data, const float* query, size_t k,
+                                DiskQueryStats* stats, obs::QueryTrace* trace,
+                                const QueryContext* ctx) const;
+
+  /// Validation plus one QueryOne per row, behind both QueryBatch overloads.
+  Result<std::vector<NeighborList>> QueryRows(
       const Dataset* data, const FloatMatrix& queries, size_t k,
       std::vector<DiskQueryStats>* stats,
       const std::vector<const QueryContext*>& contexts) const;
@@ -269,13 +261,6 @@ class DiskC2lshIndex {
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<PStableFamily> family_;
   std::vector<DiskBucketTable> tables_;
-
-  // Per-query scratch.
-  mutable CollisionCounter counter_{0};
-  mutable std::vector<uint8_t> verified_;
-  mutable std::vector<ObjectId> touched_;
-  mutable std::vector<float> vector_buf_;
-  mutable std::vector<uint8_t> table_bad_;  ///< tables dropped this query
 };
 
 }  // namespace c2lsh

@@ -5,7 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "src/obs/flight_recorder.h"
+#include "src/core/batch.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/util/thread_annotations.h"
@@ -16,21 +16,9 @@
 namespace c2lsh {
 namespace {
 
-// Registry handles resolved once per process; RunQuery flushes its local
-// C2lshQueryStats through these at query end, so the hot round loop never
-// touches an atomic (see docs/ARCHITECTURE.md, "Observability").
+// Registry handles for the mutation path, resolved once per process. Query
+// instruments live with the round engine (batch::MemoryInstruments).
 struct CoreMetrics {
-  obs::Counter* queries;
-  obs::Counter* rounds;
-  obs::Counter* collision_increments;
-  obs::Counter* candidates_verified;
-  obs::Counter* buckets_scanned;
-  obs::Counter* t1;
-  obs::Counter* t2;
-  obs::Counter* exhausted;
-  obs::Counter* deadline;
-  obs::Counter* cancelled;
-  obs::Histogram* latency;
   obs::Counter* compaction_runs;
   obs::Histogram* compaction_millis;
   obs::Gauge* overlay_entries;
@@ -41,27 +29,6 @@ const CoreMetrics& Metrics() {
   static const CoreMetrics m = [] {
     auto& r = obs::MetricsRegistry::Global();
     return CoreMetrics{
-        r.GetCounter("c2lsh_queries_total", "In-memory C2LSH queries answered"),
-        r.GetCounter("c2lsh_rounds_total",
-                     "Virtual-rehashing rounds executed by in-memory queries"),
-        r.GetCounter("c2lsh_collision_increments_total",
-                     "Collision-counter increments (in-memory queries)"),
-        r.GetCounter("c2lsh_candidates_verified_total",
-                     "Exact distance verifications (in-memory queries)"),
-        r.GetCounter("c2lsh_buckets_scanned_total",
-                     "Hash buckets visited (in-memory queries)"),
-        r.GetCounter("c2lsh_queries_t1_total",
-                     "Queries terminated by T1 (k verified within c*R)"),
-        r.GetCounter("c2lsh_queries_t2_total",
-                     "Queries terminated by T2 (k + beta*n candidate budget)"),
-        r.GetCounter("c2lsh_queries_exhausted_total",
-                     "Queries that covered every bucket of every table"),
-        r.GetCounter("c2lsh_queries_deadline_total",
-                     "Queries stopped by a deadline or page budget (partial results)"),
-        r.GetCounter("c2lsh_queries_cancelled_total",
-                     "Queries cooperatively cancelled (partial results)"),
-        r.GetHistogram("c2lsh_query_millis",
-                       "In-memory C2LSH query latency in milliseconds"),
         r.GetCounter("c2lsh_compaction_runs_total",
                      "In-memory index compactions completed"),
         r.GetHistogram("c2lsh_compaction_millis",
@@ -73,36 +40,6 @@ const CoreMetrics& Metrics() {
     };
   }();
   return m;
-}
-
-void FlushQueryMetrics(const C2lshQueryStats& st, double millis,
-                       uint64_t exemplar_id) {
-  const CoreMetrics& m = Metrics();
-  m.queries->Increment();
-  m.rounds->Increment(st.rounds);
-  m.collision_increments->Increment(st.collision_increments);
-  m.candidates_verified->Increment(st.candidates_verified);
-  m.buckets_scanned->Increment(st.buckets_scanned);
-  switch (st.termination) {
-    case Termination::kT1:
-      m.t1->Increment();
-      break;
-    case Termination::kT2:
-      m.t2->Increment();
-      break;
-    case Termination::kExhausted:
-      m.exhausted->Increment();
-      break;
-    case Termination::kDeadline:
-      m.deadline->Increment();
-      break;
-    case Termination::kCancelled:
-      m.cancelled->Increment();
-      break;
-    case Termination::kNone:
-      break;
-  }
-  m.latency->Observe(millis, exemplar_id);
 }
 
 }  // namespace
@@ -130,8 +67,7 @@ C2lshIndex::C2lshIndex(C2lshIndex&& other) noexcept
       num_objects_(other.num_objects_.load(std::memory_order_relaxed)),
       dim_(other.dim_),
       radius_cap_(other.radius_cap_),
-      page_model_(other.page_model_),
-      scratch_(std::move(other.scratch_)) {}
+      page_model_(other.page_model_) {}
 
 C2lshIndex& C2lshIndex::operator=(C2lshIndex&& other) noexcept {
   if (this != &other) {
@@ -144,21 +80,8 @@ C2lshIndex& C2lshIndex::operator=(C2lshIndex&& other) noexcept {
     dim_ = other.dim_;
     radius_cap_ = other.radius_cap_;
     page_model_ = other.page_model_;
-    scratch_ = std::move(other.scratch_);
   }
   return *this;
-}
-
-BucketRange C2lshIndex::IntervalForRadius(BucketId query_bucket, long long R) const {
-  if (R > radius_cap_) {
-    // Exhaustive fallback round: past the radius schedule the offsets no
-    // longer randomize the grid anchor, so probe everything. This round
-    // raises every object's count to m, which terminates the query.
-    constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
-    constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
-    return BucketRange{kLo, kHi};
-  }
-  return QueryIntervalAtRadius(query_bucket, R);
 }
 
 Result<C2lshIndex> C2lshIndex::Build(const Dataset& data, const C2lshOptions& options,
@@ -227,11 +150,46 @@ Result<C2lshIndex> C2lshIndex::FromParts(const C2lshOptions& options,
                     dim, radius_cap);
 }
 
+Status C2lshIndex::CheckDataset(const Dataset& data, size_t n) const {
+  if (data.dim() != dim_) {
+    return Status::InvalidArgument("C2LSH query: dataset dim mismatch");
+  }
+  if (data.size() < n) {
+    return Status::InvalidArgument(
+        "C2LSH query: dataset has fewer objects than the index — pass the dataset the "
+        "index was built on (plus any inserted rows)");
+  }
+  return Status::OK();
+}
+
+Result<NeighborList> C2lshIndex::QueryOne(const Dataset& data, const float* query,
+                                          size_t k, double radius,
+                                          const std::function<bool(ObjectId)>* filter,
+                                          C2lshQueryStats* stats, obs::QueryTrace* trace,
+                                          const QueryContext* ctx) const {
+  if (radius <= 0 && k == 0) return Status::InvalidArgument("C2LSH query: k must be positive");
+  batch::MemorySource source(*this, data, batch::MemoryInstruments());
+  C2LSH_RETURN_IF_ERROR(CheckDataset(data, source.num_objects));
+  batch::Block block;
+  block.queries = query;
+  block.num_queries = 1;
+  block.qstride = dim_;
+  block.k = k;
+  block.radius = radius;
+  block.ctxs = &ctx;
+  block.traces = &trace;
+  block.filter = filter;
+  NeighborList result;
+  batch::QueryRecord record;
+  C2LSH_RETURN_IF_ERROR(batch::RunBatchBlock(source, block, &result, &record));
+  if (stats != nullptr) *stats = record.base;
+  return result;
+}
+
 Result<NeighborList> C2lshIndex::Query(const Dataset& data, const float* query, size_t k,
                                        C2lshQueryStats* stats, obs::QueryTrace* trace,
                                        const QueryContext* ctx) const {
-  return RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_,
-                  /*filter=*/nullptr, trace, ctx);
+  return QueryOne(data, query, k, /*radius=*/0, /*filter=*/nullptr, stats, trace, ctx);
 }
 
 Result<NeighborList> C2lshIndex::FilteredQuery(
@@ -240,239 +198,8 @@ Result<NeighborList> C2lshIndex::FilteredQuery(
   if (!filter) {
     return Status::InvalidArgument("FilteredQuery: filter must be callable");
   }
-  return RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_, &filter);
-}
-
-Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* query, size_t k,
-                                          long long max_radius, C2lshQueryStats* stats,
-                                          C2lshQueryScratch* scratch,
-                                          const std::function<bool(ObjectId)>* filter,
-                                          obs::QueryTrace* trace,
-                                          const QueryContext* ctx) const {
-  if (k == 0) return Status::InvalidArgument("C2LSH query: k must be positive");
-  if (data.dim() != dim_) {
-    return Status::InvalidArgument("C2LSH query: dataset dim mismatch");
-  }
-  // The query's frozen view of the index: the object count is read once and
-  // every table is pinned once, up front. A concurrent Insert publishes its
-  // table versions *before* raising the count, so an id admitted by `id < n`
-  // here always has counter/verified capacity — entries from newer table
-  // versions with id >= n are simply skipped until a later query picks up
-  // the larger n.
-  const size_t n = num_objects();
-  if (data.size() < n) {
-    return Status::InvalidArgument(
-        "C2LSH query: dataset has fewer objects than the index — pass the dataset the "
-        "index was built on (plus any inserted rows)");
-  }
-  std::vector<BucketTable::Snapshot> snaps;
-  snaps.reserve(tables_.size());
-  for (const BucketTable& table : tables_) snaps.push_back(table.snapshot());
-
-  C2lshQueryStats local_stats;
-  C2lshQueryStats* st = (stats != nullptr) ? stats : &local_stats;
-  *st = C2lshQueryStats();
-  const bool tracing = trace != nullptr;
-  if (tracing) trace->Clear();
-  // Span sampling is independent of the caller's QueryTrace: the tracer
-  // decides per its mode, and the id attributes this query's spans, its
-  // latency exemplar, and any anomaly dump to one timeline.
-  const bool sampled = obs::Tracer::Global().SampleQuery(ctx);
-  const uint64_t span_query_id =
-      ctx != nullptr && ctx->trace_id != 0
-          ? ctx->trace_id
-          : (sampled ? obs::Tracer::Global().NextQueryId() : 0);
-  obs::ScopedSpan query_span(obs::SpanSubsystem::kQuery, "c2lsh_query",
-                             span_query_id, sampled);
-  Timer query_timer;
-
-  CollisionCounter& counter = scratch->counter;
-  std::vector<uint8_t>& verified = scratch->verified;
-  std::vector<ObjectId>& touched = scratch->touched;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
-  if (verified.size() < n) verified.resize(n, 0);
-  for (ObjectId id : touched) verified[id] = 0;
-  touched.clear();
-
-  const size_t m = tables_.size();
-  const uint32_t l = static_cast<uint32_t>(derived_.l);
-  const double c = derived_.model.c;
-  const long long c_int = static_cast<long long>(std::llround(c));
-  // T2 threshold: k + beta*n candidates, capped at the live object count so
-  // the loop always terminates (full coverage verifies everyone).
-  const size_t t2_threshold = std::min<size_t>(
-      n, k + static_cast<size_t>(std::ceil(derived_.beta * static_cast<double>(n))));
-
-  std::vector<BucketId> qbuckets;
-  family_.BucketAll(query, &qbuckets);
-
-  std::vector<BucketRange> prev(m);  // default-constructed = empty
-  NeighborList found;
-  found.reserve(t2_threshold + m);
-
-  const uint64_t vector_pages = page_model_.PagesPerVector(dim_);
-
-  // I/O model: the per-table bucket directories are memory-resident (they
-  // are tiny — the paper keeps them cached the same way), so a round charges
-  // only the entry pages it actually reads; the one-time descent into each
-  // table is charged below, once per query.
-  st->index_pages += tables_.size();
-
-  // Cooperative-stop state: kNone while running, kDeadline/kCancelled once
-  // the context expires. Checked inside the scan (cancellation every
-  // increment — an acquire load; the clock only every kCheckIntervalMask+1
-  // increments) and at every round boundary.
-  Termination early_stop = Termination::kNone;
-
-  auto scan_range = [&](const BucketTable::Snapshot& table, const BucketRange& range) {
-    if (range.empty() || early_stop != Termination::kNone) return;
-    const size_t range_entries = table.EntriesInRange(range.lo, range.hi);
-    if (range_entries > 0) {
-      st->index_pages += page_model_.PagesForEntries(range_entries, sizeof(ObjectId));
-    }
-    const size_t visited = table.ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
-      if (static_cast<size_t>(id) >= n) return;  // inserted after this query started
-      if (early_stop != Termination::kNone) return;
-      ++st->collision_increments;
-      if (ctx != nullptr) {
-        if (ctx->cancelled()) {
-          early_stop = Termination::kCancelled;
-          return;
-        }
-        if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-            ctx->deadline.Expired()) {
-          early_stop = Termination::kDeadline;
-          return;
-        }
-      }
-      if (verified[id] != 0) return;  // already a verified candidate
-      if (counter.Increment(id) == l) {
-        verified[id] = 1;
-        touched.push_back(id);
-        if (filter != nullptr && !(*filter)(id)) {
-          return;  // rejected at the verification gate: no distance computed
-        }
-        const double dist = L2(query, data.object(id), dim_);
-        found.push_back(Neighbor{id, static_cast<float>(dist)});
-        ++st->candidates_verified;
-        st->data_pages += vector_pages;
-      }
-    });
-    st->buckets_scanned += visited;
-  };
-
-  long long R = 1;
-  Timer round_timer;
-  while (true) {
-    // Round boundary: the full context check (deadline, cancellation, page
-    // budget). A pre-expired context runs zero rounds and returns empty.
-    if (ctx != nullptr && early_stop == Termination::kNone) {
-      early_stop = ctx->Check(st->total_pages());
-    }
-    if (early_stop != Termination::kNone) {
-      st->termination = early_stop;
-      break;
-    }
-    ++st->rounds;
-    st->final_radius = R;
-    obs::ScopedSpan round_span(obs::SpanSubsystem::kRound, "round",
-                               span_query_id, sampled);
-    // Trace spans are deltas of the running stats, so tracing adds no work
-    // inside scan_range.
-    C2lshQueryStats before;
-    if (tracing) {
-      round_timer.Reset();
-      before = *st;
-    }
-
-    bool all_covered = true;
-    for (size_t i = 0; i < m; ++i) {
-      if (early_stop != Termination::kNone) break;
-      const BucketRange next = IntervalForRadius(qbuckets[i], R);
-      const RangeDelta delta = ComputeRangeDelta(prev[i], next);
-      scan_range(snaps[i], delta.left);
-      scan_range(snaps[i], delta.right);
-      prev[i] = next;
-      // Coverage test: once the interval spans every bucket the table holds,
-      // further rounds cannot add collisions from this table.
-      if (snaps[i].num_buckets() > 0 &&
-          snaps[i].EntriesInRange(next.lo, next.hi) < snaps[i].num_entries()) {
-        all_covered = false;
-      }
-    }
-
-    // T1: enough verified candidates within distance c*R. Evaluated even
-    // after an early stop — if the partial scan already proved the answer,
-    // the query gets the full-quality termination, not kDeadline.
-    const double cr = c * static_cast<double>(R);
-    size_t within = 0;
-    for (const Neighbor& nb : found) {
-      if (nb.dist <= cr) ++within;
-      if (within >= k) break;
-    }
-    if (within >= k) {
-      st->termination = Termination::kT1;
-    } else if (found.size() >= t2_threshold) {
-      // T2: the false-positive budget is exhausted.
-      st->termination = Termination::kT2;
-    } else if (early_stop != Termination::kNone) {
-      // The context expired mid-round: partial results. Takes precedence
-      // over kExhausted because an interrupted round never evaluated the
-      // remaining tables' coverage.
-      st->termination = early_stop;
-    } else if (all_covered) {
-      // Every object has been counted in every table.
-      st->termination = Termination::kExhausted;
-    }
-    if (tracing) {
-      obs::QueryRoundSpan span;
-      span.radius = R;
-      span.buckets_scanned = st->buckets_scanned - before.buckets_scanned;
-      span.collision_increments =
-          st->collision_increments - before.collision_increments;
-      span.candidates_verified =
-          st->candidates_verified - before.candidates_verified;
-      span.index_pages = st->index_pages - before.index_pages;
-      span.t1_fired = st->termination == Termination::kT1;
-      span.t2_fired = st->termination == Termination::kT2;
-      span.millis = round_timer.ElapsedMillis();
-      trace->rounds.push_back(span);
-    }
-    if (st->termination != Termination::kNone) break;
-    if (max_radius > 0 && R >= max_radius) break;
-    R *= c_int;
-  }
-
-  // Only the k nearest survive, so a partial sort suffices when more
-  // candidates were verified than requested.
-  if (found.size() > k) {
-    std::partial_sort(found.begin(), found.begin() + static_cast<std::ptrdiff_t>(k),
-                      found.end(), NeighborLess());
-    found.resize(k);
-  } else {
-    std::sort(found.begin(), found.end(), NeighborLess());
-  }
-  const double total_millis = query_timer.ElapsedMillis();
-  if (tracing) {
-    trace->termination = st->termination;
-    trace->total_millis = total_millis;
-  }
-  FlushQueryMetrics(*st, total_millis, span_query_id);
-  // End the query span before the anomaly hook: a flight dump snapshots the
-  // rings, and an open span has not reached its ring yet.
-  query_span.End();
-  if (obs::FlightRecorder::Global().enabled()) {
-    if (tracing) {
-      obs::MaybeRecordQueryAnomaly("c2lsh_query", span_query_id, *trace);
-    } else {
-      obs::QueryTrace anomaly_trace;
-      anomaly_trace.termination = st->termination;
-      anomaly_trace.total_millis = total_millis;
-      obs::MaybeRecordQueryAnomaly("c2lsh_query", span_query_id, anomaly_trace);
-    }
-  }
-  return found;
+  return QueryOne(data, query, k, /*radius=*/0, &filter, stats, /*trace=*/nullptr,
+                  /*ctx=*/nullptr);
 }
 
 Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* query,
@@ -481,143 +208,30 @@ Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* qu
   if (!(radius > 0.0)) {
     return Status::InvalidArgument("RangeQuery: radius must be positive");
   }
-  if (data.dim() != dim_) {
-    return Status::InvalidArgument("RangeQuery: dataset dim mismatch");
-  }
-  // Frozen view, same scheme as RunQuery: count first, then pin each table.
-  const size_t n = num_objects();
-  if (data.size() < n) {
-    return Status::InvalidArgument("RangeQuery: dataset smaller than the index");
-  }
-  std::vector<BucketTable::Snapshot> snaps;
-  snaps.reserve(tables_.size());
-  for (const BucketTable& table : tables_) snaps.push_back(table.snapshot());
-
-  C2lshQueryStats local_stats;
-  C2lshQueryStats* st = (stats != nullptr) ? stats : &local_stats;
-  *st = C2lshQueryStats();
-
-  C2lshQueryScratch* scratch = &scratch_;
-  CollisionCounter& counter = scratch->counter;
-  std::vector<uint8_t>& verified = scratch->verified;
-  std::vector<ObjectId>& touched = scratch->touched;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
-  if (verified.size() < n) verified.resize(n, 0);
-  for (ObjectId id : touched) verified[id] = 0;
-  touched.clear();
-
-  const size_t m = tables_.size();
-  const uint32_t l = static_cast<uint32_t>(derived_.l);
-  const long long c_int = static_cast<long long>(std::llround(derived_.model.c));
-
-  std::vector<BucketId> qbuckets;
-  family_.BucketAll(query, &qbuckets);
-  std::vector<BucketRange> prev(m);
-  NeighborList found;
-  // Verified in-range candidates are bounded by the same k-free budget shape
-  // as RunQuery's T2 threshold: the beta*n false-positive allowance plus the
-  // per-table slack.
-  found.reserve(std::min<size_t>(
-      n, static_cast<size_t>(std::ceil(derived_.beta * static_cast<double>(n))) + m));
-  const uint64_t vector_pages = page_model_.PagesPerVector(dim_);
-  st->index_pages += tables_.size();
-
-  // Same cooperative-stop shape as RunQuery: cancellation is an acquire load
-  // polled every increment, the clock only every kCheckIntervalMask+1.
-  Termination early_stop = Termination::kNone;
-
-  auto scan_range = [&](const BucketTable::Snapshot& table, const BucketRange& range) {
-    if (range.empty() || early_stop != Termination::kNone) return;
-    const size_t range_entries = table.EntriesInRange(range.lo, range.hi);
-    if (range_entries > 0) {
-      st->index_pages += page_model_.PagesForEntries(range_entries, sizeof(ObjectId));
-    }
-    const size_t visited = table.ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
-      if (static_cast<size_t>(id) >= n) return;  // inserted after this query started
-      if (early_stop != Termination::kNone) return;
-      ++st->collision_increments;
-      if (ctx != nullptr) {
-        if (ctx->cancelled()) {
-          early_stop = Termination::kCancelled;
-          return;
-        }
-        if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-            ctx->deadline.Expired()) {
-          early_stop = Termination::kDeadline;
-          return;
-        }
-      }
-      if (verified[id] != 0) return;
-      if (counter.Increment(id) == l) {
-        verified[id] = 1;
-        touched.push_back(id);
-        const double dist = L2(query, data.object(id), dim_);
-        ++st->candidates_verified;
-        st->data_pages += vector_pages;
-        if (dist <= radius) {
-          found.push_back(Neighbor{id, static_cast<float>(dist)});
-        }
-      }
-    });
-    st->buckets_scanned += visited;
-  };
-
-  // Run every round up to the first scheduled R >= radius: at that level an
-  // in-range object's collision probability is >= p1 per table, so P1's
-  // recall bound applies.
-  long long R = 1;
-  while (true) {
-    ++st->rounds;
-    st->final_radius = R;
-    for (size_t i = 0; i < m; ++i) {
-      const BucketRange next = IntervalForRadius(qbuckets[i], R);
-      const RangeDelta delta = ComputeRangeDelta(prev[i], next);
-      scan_range(snaps[i], delta.left);
-      scan_range(snaps[i], delta.right);
-      prev[i] = next;
-    }
-    // Round boundary: also the page-budget checkpoint.
-    if (ctx != nullptr && early_stop == Termination::kNone) {
-      early_stop = ctx->Check(st->total_pages());
-    }
-    if (early_stop != Termination::kNone) {
-      st->termination = early_stop;
-      break;
-    }
-    if (static_cast<double>(R) >= radius || R > radius_cap_) break;
-    R *= c_int;
-  }
-
-  std::sort(found.begin(), found.end(), NeighborLess());
-  return found;
+  return QueryOne(data, query, /*k=*/0, radius, /*filter=*/nullptr, stats,
+                  /*trace=*/nullptr, ctx);
 }
 
-// BatchQuery is defined in src/core/batch.cc as a thin wrapper over the
-// batched, shard-parallel QueryBatch engine.
-
+// Not a rehash loop: one fixed-radius pass with a mid-scan exit on the first
+// hit, so it keeps its own counts instead of running through the engine.
 Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* query,
                                            long long R, C2lshQueryStats* stats,
                                            const QueryContext* ctx) const {
   if (R <= 0) return Status::InvalidArgument("DecisionQuery: R must be positive");
-  if (data.dim() != dim_) {
-    return Status::InvalidArgument("DecisionQuery: dataset dim mismatch");
-  }
+  // Frozen view, same scheme as every query: count first, then pin each
+  // table.
+  const size_t n = num_objects();
+  C2LSH_RETURN_IF_ERROR(CheckDataset(data, n));
   C2lshQueryStats local_stats;
   C2lshQueryStats* st = (stats != nullptr) ? stats : &local_stats;
   *st = C2lshQueryStats();
   st->rounds = 1;
   st->final_radius = R;
 
-  // Frozen view, same scheme as RunQuery: count first, then pin each table.
-  const size_t n = num_objects();
   std::vector<BucketTable::Snapshot> snaps;
   snaps.reserve(tables_.size());
   for (const BucketTable& table : tables_) snaps.push_back(table.snapshot());
-
-  CollisionCounter& counter = scratch_.counter;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
+  std::vector<uint32_t> counts(n, 0);
 
   std::vector<BucketId> qbuckets;
   family_.BucketAll(query, &qbuckets);
@@ -636,7 +250,7 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
   for (size_t i = 0; i < tables_.size() && !have_hit && verified < fp_budget &&
                      early_stop == Termination::kNone;
        ++i) {
-    const BucketRange range = IntervalForRadius(qbuckets[i], R);
+    const BucketRange range = IntervalForRadius(qbuckets[i], R, radius_cap_);
     ++st->index_pages;  // per-table descent
     const size_t range_entries = snaps[i].EntriesInRange(range.lo, range.hi);
     if (range_entries > 0) {
@@ -646,15 +260,10 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
       if (static_cast<size_t>(id) >= n) return;  // inserted after this query started
       ++st->collision_increments;
       if (ctx != nullptr && early_stop == Termination::kNone) {
-        if (ctx->cancelled()) {
-          early_stop = Termination::kCancelled;
-        } else if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-                   ctx->deadline.Expired()) {
-          early_stop = Termination::kDeadline;
-        }
+        early_stop = ctx->CheckEvery(st->collision_increments);
       }
       if (have_hit || verified >= fp_budget || early_stop != Termination::kNone) return;
-      if (counter.Increment(id) == l) {
+      if (++counts[id] == l) {
         const double dist = L2(query, data.object(id), dim_);
         ++verified;
         ++st->candidates_verified;
@@ -685,7 +294,7 @@ std::vector<uint32_t> C2lshIndex::CollisionCountsAtRadius(const float* query,
   std::vector<BucketId> qbuckets;
   family_.BucketAll(query, &qbuckets);
   for (size_t i = 0; i < tables_.size(); ++i) {
-    const BucketRange range = IntervalForRadius(qbuckets[i], R);
+    const BucketRange range = IntervalForRadius(qbuckets[i], R, radius_cap_);
     tables_[i].ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
       if (id < counts.size()) ++counts[id];
     });

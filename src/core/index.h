@@ -17,10 +17,13 @@
 // and verification distances are computed against the Dataset passed to
 // Query. Dynamic inserts/deletes go through the tables' delta overlays.
 //
+// Every query runs through the round engine (src/core/batch.h) as a block of
+// one, with per-query state of its own.
+//
 // Concurrency model: queries pin per-table snapshots (storage/bucket_table.h)
-// and run lock-free against them, so any number of Searcher queries may run
-// concurrently with Insert/Delete/Compact — readers never block on a
-// mutation, not even a full compaction. Mutators serialize on an internal
+// and run lock-free against them, so any number of queries may run
+// concurrently with each other and with Insert/Delete/Compact — readers
+// never block on a mutation, not even a full compaction. Mutators serialize on an internal
 // writer lock; a mutation is visible to every query that *starts* after the
 // mutating call returns, while in-flight queries keep the versions they
 // pinned.
@@ -35,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/counter.h"
 #include "src/core/params.h"
 #include "src/core/virtual_rehash.h"
 #include "src/lsh/pstable.h"
@@ -71,15 +73,6 @@ struct C2lshQueryStats {
   uint64_t total_pages() const { return index_pages + data_pages; }
 };
 
-/// Reusable per-query scratch space. One instance per thread; see
-/// C2lshIndex::Searcher for the thread-safe query API.
-struct C2lshQueryScratch {
-  CollisionCounter counter{0};
-  std::vector<uint8_t> verified;
-  std::vector<ObjectId> touched;
-  std::vector<BucketId> qbuckets;
-};
-
 /// The C2LSH index.
 class C2lshIndex {
  public:
@@ -96,37 +89,31 @@ class C2lshIndex {
   /// an exceeded I/O-page budget the query returns its best-effort partial
   /// results with stats->termination = kDeadline / kCancelled — never an
   /// error (see util/query_context.h).
-  /// Safe to call concurrently with Insert/Delete/Compact (the query runs on
-  /// pinned table snapshots), but this convenience entry point reuses one
-  /// internal scratch shared with FilteredQuery/RangeQuery/DecisionQuery —
-  /// at most one of those four may run at a time. Concurrent query callers
-  /// must each use their own Searcher instead.
+  /// Safe to call concurrently with other queries and with
+  /// Insert/Delete/Compact: each query owns its state and runs on pinned
+  /// table snapshots.
   Result<NeighborList> Query(const Dataset& data, const float* query, size_t k,
                              C2lshQueryStats* stats = nullptr,
                              obs::QueryTrace* trace = nullptr,
                              const QueryContext* ctx = nullptr) const;
 
-  /// A lightweight per-thread query handle. Any number of Searchers may run
-  /// concurrently — each owns its scratch, and every query pins immutable
-  /// table snapshots, so Searchers are also safe against concurrent
-  /// Insert/Delete/Compact. The Searcher must not outlive the index.
+  /// A per-thread query handle, kept for callers written against it: Query
+  /// itself is safe to call concurrently, so a Searcher only forwards to it.
+  /// The Searcher must not outlive the index.
   class Searcher {
    public:
     explicit Searcher(const C2lshIndex* index) : index_(index) {}
 
-    /// Same contract as C2lshIndex::Query, safe to call concurrently with
-    /// other Searchers.
+    /// Same contract as C2lshIndex::Query.
     Result<NeighborList> Query(const Dataset& data, const float* query, size_t k,
                                C2lshQueryStats* stats = nullptr,
                                obs::QueryTrace* trace = nullptr,
                                const QueryContext* ctx = nullptr) {
-      return index_->RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_,
-                              /*filter=*/nullptr, trace, ctx);
+      return index_->Query(data, query, k, stats, trace, ctx);
     }
 
    private:
     const C2lshIndex* index_;
-    C2lshQueryScratch scratch_;
   };
 
   /// Options for QueryBatch (src/core/batch.cc).
@@ -149,13 +136,13 @@ class C2lshIndex {
     std::vector<const QueryContext*> contexts;
   };
 
-  /// Batched c-k-ANN over every row of `queries`: the round-synchronized
-  /// shared-scan engine (src/core/batch.cc). All co-resident queries advance
-  /// through the virtual-rehashing radii in lockstep; per round, queries
-  /// probing the same bucket run of the same table share one scan, and the
-  /// tables are sharded across the worker pool with per-shard collision
-  /// buffers merged at the round barrier. Results (and per-query stats) are
-  /// bitwise-identical to a serial loop of Query() calls for every
+  /// Batched c-k-ANN over every row of `queries`: the round engine
+  /// (src/core/batch.h) with co-resident blocks. All co-resident queries
+  /// advance through the virtual-rehashing radii in lockstep; per round,
+  /// queries probing the same bucket run of the same table share one scan,
+  /// and the tables are sharded across the worker pool with per-shard
+  /// collision buffers merged at the round barrier. Results (and per-query
+  /// stats) are bitwise-identical to Query() for every
   /// batch_size/num_shards/pool configuration; per-query T1/T2/exhausted/
   /// deadline/cancelled precedence matches Query exactly. `stats`, when
   /// non-null, is resized to one entry per query.
@@ -174,22 +161,13 @@ class C2lshIndex {
     return QueryBatch(data, queries, k, BatchQueryOptions());
   }
 
-  /// Convenience wrapper over QueryBatch: runs one query per row of
-  /// `queries` on the shared worker pool. `num_threads` bounds the table
-  /// sharding (0 = pool width); results are identical for every value.
-  /// Returns one NeighborList per query row, in order.
-  Result<std::vector<NeighborList>> BatchQuery(const Dataset& data,
-                                               const FloatMatrix& queries, size_t k,
-                                               size_t num_threads = 0) const;
-
   /// Filtered c-k-ANN: like Query, but only objects for which
   /// `filter(id)` returns true may be verified or returned (predicate
   /// push-down — deleted-but-not-compacted rows, tenant isolation, time
   /// windows). Filtered-out objects still participate in collision counting
   /// (their hashes are in the tables) but are skipped at the verification
   /// gate, so the filter adds no distance computations for rejected ids.
-  /// The k+beta*n candidate budget counts only accepted objects. Shares the
-  /// convenience scratch (see Query for the concurrency contract).
+  /// The k+beta*n candidate budget counts only accepted objects.
   Result<NeighborList> FilteredQuery(const Dataset& data, const float* query, size_t k,
                                      const std::function<bool(ObjectId)>& filter,
                                      C2lshQueryStats* stats = nullptr) const;
@@ -199,10 +177,9 @@ class C2lshIndex {
   /// per-object recall >= 1 - delta by property P1 (an object at distance
   /// <= radius collides >= l times once R >= radius w.h.p.). Results are
   /// sorted ascending by exact distance; false positives are filtered by
-  /// verification, so precision is exact. Shares the convenience scratch
-  /// (see Query for the concurrency contract). `ctx`, when non-null, applies
-  /// the deadline/cancellation contract: the scan polls at the standard
-  /// cadence and stops with partial results, recording
+  /// verification, so precision is exact. The round engine with a range stop
+  /// policy. `ctx`, when non-null, applies the deadline/cancellation
+  /// contract: the query stops with partial results, recording
   /// stats->termination = kDeadline / kCancelled.
   Result<NeighborList> RangeQuery(const Dataset& data, const float* query, double radius,
                                   C2lshQueryStats* stats = nullptr,
@@ -295,25 +272,18 @@ class C2lshIndex {
              std::vector<BucketTable> tables, size_t num_objects, size_t dim,
              long long radius_cap);
 
-  /// Shared round loop. `max_radius`: stop after the round at this radius
-  /// (0 = unbounded, run to termination). `scratch` holds the per-query
-  /// state; distinct scratches make concurrent queries safe. `filter`, when
-  /// non-null, gates verification (see FilteredQuery). `trace`, when
-  /// non-null, records one QueryRoundSpan per round. `ctx`, when non-null,
-  /// is checked at every round boundary (deadline, cancellation, page
-  /// budget) and inside the bucket scan (cancellation every increment, the
-  /// clock every kCheckIntervalMask+1 increments); expiry stops the query
-  /// cooperatively with partial results.
-  Result<NeighborList> RunQuery(const Dataset& data, const float* query, size_t k,
-                                long long max_radius, C2lshQueryStats* stats,
-                                C2lshQueryScratch* scratch,
-                                const std::function<bool(ObjectId)>* filter = nullptr,
-                                obs::QueryTrace* trace = nullptr,
-                                const QueryContext* ctx = nullptr) const;
+  /// One query as a block of one through the round engine: k-ANN, or the
+  /// range stop policy when `radius` > 0. `filter` (nullable) gates
+  /// verification (see FilteredQuery).
+  Result<NeighborList> QueryOne(const Dataset& data, const float* query, size_t k,
+                                double radius,
+                                const std::function<bool(ObjectId)>* filter,
+                                C2lshQueryStats* stats, obs::QueryTrace* trace,
+                                const QueryContext* ctx) const;
 
-  /// The probe interval at radius R, falling back to a full-table range once
-  /// R exceeds the radius schedule cap (guarantees termination).
-  BucketRange IntervalForRadius(BucketId query_bucket, long long R) const;
+  /// InvalidArgument unless `data` can verify candidates of an index view
+  /// holding `n` objects (same dimension, at least n rows).
+  Status CheckDataset(const Dataset& data, size_t n) const;
 
   /// Refreshes the overlay/tombstone gauges after a mutation. Called with
   /// writer_mu_ held (tables are quiescent, so per-table snapshots agree).
@@ -332,10 +302,6 @@ class C2lshIndex {
   /// Serializes Insert/Delete/Compact against each other (never held while a
   /// query scans — queries run on pinned snapshots).
   mutable Mutex writer_mu_;
-
-  // Scratch behind the convenience Query()/DecisionQuery() entry points
-  // (those are documented non-concurrent; Searcher owns its own).
-  mutable C2lshQueryScratch scratch_;
 };
 
 }  // namespace c2lsh

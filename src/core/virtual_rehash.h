@@ -22,6 +22,8 @@
 #ifndef C2LSH_CORE_VIRTUAL_REHASH_H_
 #define C2LSH_CORE_VIRTUAL_REHASH_H_
 
+#include <limits>
+
 #include "src/storage/bucket_table.h"
 #include "src/util/math.h"
 
@@ -51,6 +53,20 @@ inline BucketId LevelBucket(BucketId base, long long R) { return FloorDiv(base, 
 inline BucketRange QueryIntervalAtRadius(BucketId query_base_bucket, long long R) {
   const BucketId t = LevelBucket(query_base_bucket, R);
   return BucketRange{t * R, t * R + R - 1};
+}
+
+/// The probe interval at radius R, falling back to a full-table range once R
+/// exceeds the radius schedule cap `radius_cap`. Past the cap the offsets no
+/// longer randomize the grid anchor, so the round probes everything: it
+/// raises every object's count to m, which guarantees termination.
+inline BucketRange IntervalForRadius(BucketId query_base_bucket, long long R,
+                                     long long radius_cap) {
+  if (R > radius_cap) {
+    constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
+    constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
+    return BucketRange{kLo, kHi};
+  }
+  return QueryIntervalAtRadius(query_base_bucket, R);
 }
 
 /// The two side-ranges uncovered when the interval grows from `prev` to

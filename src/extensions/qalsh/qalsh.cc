@@ -237,23 +237,16 @@ Result<NeighborList> QalshIndex::Query(const Dataset& data, const float* query, 
   const size_t entries_per_page = std::max<size_t>(
       1, page_model_.EntriesPerPage(sizeof(float) + sizeof(ObjectId)));
 
-  // Cooperative-stop state, same contract as C2lshIndex::RunQuery:
+  // Cooperative-stop state, same contract as the C2LSH round engine:
   // cancellation polled every increment (an acquire load), the clock only
-  // every kCheckIntervalMask+1 increments.
+  // every kCheckIntervalMask+1 increments (QueryContext::CheckEvery).
   Termination early_stop = Termination::kNone;
 
   auto count_one = [&](ObjectId id) {
     ++st->collision_increments;
     if (ctx != nullptr) {
-      if (ctx->cancelled()) {
-        early_stop = Termination::kCancelled;
-        return;
-      }
-      if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-          ctx->deadline.Expired()) {
-        early_stop = Termination::kDeadline;
-        return;
-      }
+      early_stop = ctx->CheckEvery(st->collision_increments);
+      if (early_stop != Termination::kNone) return;
     }
     if (verified_[id] != 0) return;
     if (epochs_[id] != epoch_) {

@@ -97,8 +97,8 @@ class Deadline {
 
 /// The per-query control block. Plain value; the token is borrowed (the
 /// caller keeps it alive for the duration of the query). A default
-/// QueryContext imposes no bounds, so `RunQuery(..., nullptr)` and
-/// `RunQuery(..., &QueryContext{})` behave identically.
+/// QueryContext imposes no bounds, so `Query(..., nullptr)` and
+/// `Query(..., &QueryContext{})` behave identically.
 struct QueryContext {
   /// Wall-clock bound for the whole query, admission wait included.
   Deadline deadline;
@@ -128,6 +128,18 @@ struct QueryContext {
   static constexpr uint64_t kCheckIntervalMask = 1023;
 
   bool cancelled() const { return cancel != nullptr && cancel->cancelled(); }
+
+  /// The per-increment poll of every collision-counting loop: the
+  /// cancellation token on every call, the clock only when `increments` (the
+  /// caller's running count, this increment included) is a multiple of
+  /// kCheckIntervalMask + 1. kNone to keep going.
+  Termination CheckEvery(uint64_t increments) const {
+    if (cancelled()) return Termination::kCancelled;
+    if ((increments & kCheckIntervalMask) == 0 && deadline.Expired()) {
+      return Termination::kDeadline;
+    }
+    return Termination::kNone;
+  }
 
   /// The checkpoint predicate: kNone to keep going, kCancelled/kDeadline to
   /// stop with partial results. Cancellation wins over the deadline so an

@@ -19,7 +19,7 @@ class Scanner {
   }
 
   // Clean: same shape, polls cancellation every round.
-  int RunQuery(const QueryContext* ctx, int budget) {
+  int QueryBatch(const QueryContext* ctx, int budget) {
     int acc = 0;
     while (true) {
       if (ctx->cancelled()) break;

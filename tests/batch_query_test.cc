@@ -1,7 +1,8 @@
-// Concurrency tests: Searcher-based parallel queries must match the serial
-// answers exactly (the index is immutable during queries; only scratch is
-// per-thread).
+// Concurrency tests: parallel queries — through Searchers, plain Query calls,
+// or a sharded QueryBatch — must match the serial answers exactly (the index
+// is immutable during queries and every query owns its state).
 
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "src/core/index.h"
 #include "src/util/thread_annotations.h"
 #include "src/vector/synthetic.h"
+#include "tests/reference_c2lsh.h"
 
 namespace c2lsh {
 namespace {
@@ -30,43 +32,22 @@ BatchWorld MakeBatchWorld() {
                     std::move(index).value()};
 }
 
-TEST(BatchQueryTest, MatchesSerialQueries) {
+TEST(BatchQueryTest, ShardedBatchMatchesReference) {
   BatchWorld w = MakeBatchWorld();
-  std::vector<NeighborList> serial;
-  for (size_t q = 0; q < w.queries.num_rows(); ++q) {
-    auto r = w.index.Query(w.data, w.queries.row(q), 10);
-    ASSERT_TRUE(r.ok());
-    serial.push_back(std::move(r).value());
-  }
-  auto batch = w.index.BatchQuery(w.data, w.queries, 10, 4);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), serial.size());
-  for (size_t q = 0; q < serial.size(); ++q) {
-    ASSERT_EQ((*batch)[q].size(), serial[q].size()) << "q=" << q;
-    for (size_t i = 0; i < serial[q].size(); ++i) {
-      EXPECT_EQ((*batch)[q][i].id, serial[q][i].id) << "q=" << q << " i=" << i;
-      EXPECT_EQ((*batch)[q][i].dist, serial[q][i].dist);
+  for (size_t num_shards : {1u, 4u}) {
+    C2lshIndex::BatchQueryOptions options;
+    options.num_shards = num_shards;
+    std::vector<C2lshQueryStats> stats;
+    auto batch = w.index.QueryBatch(w.data, w.queries, 10, options, &stats);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), w.queries.num_rows());
+    for (size_t q = 0; q < w.queries.num_rows(); ++q) {
+      const std::string diff = reference::Diff(
+          reference::FromEngine((*batch)[q], stats[q]),
+          reference::Query(w.index, w.data, w.queries.row(q), 10));
+      EXPECT_TRUE(diff.empty()) << "shards=" << num_shards << " q=" << q << ": " << diff;
     }
   }
-}
-
-TEST(BatchQueryTest, SingleThreadPath) {
-  BatchWorld w = MakeBatchWorld();
-  auto batch = w.index.BatchQuery(w.data, w.queries, 5, 1);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->size(), w.queries.num_rows());
-}
-
-TEST(BatchQueryTest, DimMismatchRejected) {
-  BatchWorld w = MakeBatchWorld();
-  auto wrong = FloatMatrix::Create(3, w.data.dim() + 1);
-  ASSERT_TRUE(wrong.ok());
-  EXPECT_TRUE(w.index.BatchQuery(w.data, wrong.value(), 5).status().IsInvalidArgument());
-}
-
-TEST(BatchQueryTest, PropagatesQueryErrors) {
-  BatchWorld w = MakeBatchWorld();
-  EXPECT_TRUE(w.index.BatchQuery(w.data, w.queries, 0).status().IsInvalidArgument());
 }
 
 TEST(BatchQueryTest, ManualSearchersRunConcurrently) {
@@ -101,6 +82,30 @@ TEST(BatchQueryTest, ManualSearchersRunConcurrently) {
   for (size_t t = 0; t < 8; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
+}
+
+// Query itself owns no shared scratch: plain concurrent calls on one index
+// (no Searcher) return the serial answers, and TSan sees no race.
+TEST(BatchQueryTest, ConcurrentQueryCallsMatchSerial) {
+  BatchWorld w = MakeBatchWorld();
+  std::vector<NeighborList> expected;
+  for (size_t q = 0; q < 4; ++q) {
+    auto r = w.index.Query(w.data, w.queries.row(q), 5);
+    ASSERT_TRUE(r.ok());
+    expected.push_back(std::move(r).value());
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> failures(4, 0);
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int rep = 0; rep < 10; ++rep) {
+        auto r = w.index.Query(w.data, w.queries.row(t), 5);
+        if (!r.ok() || *r != expected[t]) ++failures[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < 4; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
 }
 
 }  // namespace

@@ -482,7 +482,13 @@ TEST(C2lshIndexTest, SmallerDatasetThanIndexRejected) {
   ASSERT_TRUE(index.ok());
   auto tiny = MakeProfileDataset(DatasetProfile::kColor, 100, 1, 23);
   ASSERT_TRUE(tiny.ok());
-  EXPECT_TRUE(index->Query(tiny->data, world.queries.row(0), 1)
+  const float* q = world.queries.row(0);
+  EXPECT_TRUE(index->Query(tiny->data, q, 1).status().IsInvalidArgument());
+  // Every entry point that verifies against the caller's dataset rejects one
+  // too small to hold the index's ids; verifying would read past its rows.
+  EXPECT_TRUE(index->RangeQuery(tiny->data, q, 5.0).status().IsInvalidArgument());
+  EXPECT_TRUE(index->DecisionQuery(tiny->data, q, 4).status().IsInvalidArgument());
+  EXPECT_TRUE(index->FilteredQuery(tiny->data, q, 1, [](ObjectId) { return true; })
                   .status()
                   .IsInvalidArgument());
 }

@@ -8,6 +8,7 @@
 #include "src/storage/disk_bucket_table.h"
 #include "src/util/random.h"
 #include "src/vector/synthetic.h"
+#include "tests/reference_c2lsh.h"
 
 namespace c2lsh {
 namespace {
@@ -77,7 +78,10 @@ TEST_F(DiskIndexTest, DiskBucketTableSurvivesReload) {
   EXPECT_EQ(count, 1000u);
 }
 
-TEST_F(DiskIndexTest, DiskIndexMatchesMemoryIndexExactly) {
+// Both index modes against the naive reference C2LSH: the memory index's
+// base buckets are the disk index's (same options and seed), so both must
+// reproduce the reference answer bit for bit.
+TEST_F(DiskIndexTest, DiskAndMemoryIndexMatchReference) {
   auto pd = MakeProfileDataset(DatasetProfile::kColor, 2000, 12, 7);
   ASSERT_TRUE(pd.ok());
   C2lshOptions o;
@@ -89,14 +93,19 @@ TEST_F(DiskIndexTest, DiskIndexMatchesMemoryIndexExactly) {
   ASSERT_TRUE(disk.ok()) << disk.status().ToString();
 
   for (size_t q = 0; q < 12; ++q) {
-    auto rm = mem->Query(pd->data, pd->queries.row(q), 10);
-    auto rd = disk->Query(pd->data, pd->queries.row(q), 10);
-    ASSERT_TRUE(rm.ok() && rd.ok());
-    ASSERT_EQ(rd->size(), rm->size()) << "q=" << q;
-    for (size_t i = 0; i < rm->size(); ++i) {
-      EXPECT_EQ((*rd)[i].id, (*rm)[i].id) << "q=" << q << " i=" << i;
-      EXPECT_EQ((*rd)[i].dist, (*rm)[i].dist);
-    }
+    const reference::Answer want = reference::Query(*mem, pd->data, pd->queries.row(q), 10);
+    C2lshQueryStats mem_stats;
+    DiskQueryStats disk_stats, stored_stats;
+    auto rm = mem->Query(pd->data, pd->queries.row(q), 10, &mem_stats);
+    auto rd = disk->Query(pd->data, pd->queries.row(q), 10, &disk_stats);
+    auto rs = disk->Query(pd->queries.row(q), 10, &stored_stats);
+    ASSERT_TRUE(rm.ok() && rd.ok() && rs.ok());
+    EXPECT_EQ(reference::Diff(reference::FromEngine(*rm, mem_stats), want), "")
+        << "memory q=" << q;
+    EXPECT_EQ(reference::Diff(reference::FromEngine(*rd, disk_stats.base), want), "")
+        << "disk q=" << q;
+    EXPECT_EQ(reference::Diff(reference::FromEngine(*rs, stored_stats.base), want), "")
+        << "disk stored q=" << q;
   }
 }
 

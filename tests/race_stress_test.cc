@@ -117,7 +117,9 @@ TEST(RaceStressTest, BatchQueryMatchesSerial) {
   auto index = C2lshIndex::Build(pd->data, SmallOptions());
   ASSERT_TRUE(index.ok());
 
-  auto batch = index->BatchQuery(pd->data, pd->queries, 8, /*num_threads=*/4);
+  C2lshIndex::BatchQueryOptions options;
+  options.num_shards = 4;
+  auto batch = index->QueryBatch(pd->data, pd->queries, 8, options);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), pd->queries.num_rows());
   for (size_t q = 0; q < pd->queries.num_rows(); ++q) {

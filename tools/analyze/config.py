@@ -54,7 +54,7 @@ NONBLOCKING_RECEIVER_HINTS = (
 # Query-path entry points: a loop reachable from any of these must poll the
 # QueryContext (PR 5 contract). Matched on the unqualified function name.
 QUERY_ENTRY_POINTS = {
-    "Query", "RunQuery", "RunDiskQuery", "BatchQuery",
+    "Query", "QueryBatch",
     "RangeQuery", "FilteredQuery", "DecisionQuery",
 }
 
