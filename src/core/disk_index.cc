@@ -224,6 +224,36 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
   return index;
 }
 
+// Moves run while both indexes are quiescent (see header), so they touch the
+// guarded state without either lock. Tables go first: they hold raw pointers
+// into the pool, which holds one into the file.
+DiskC2lshIndex::DiskC2lshIndex(DiskC2lshIndex&& other) noexcept {
+  *this = std::move(other);
+}
+
+DiskC2lshIndex& DiskC2lshIndex::operator=(DiskC2lshIndex&& other) noexcept {
+  if (this != &other) {
+    tables_ = std::move(other.tables_);
+    family_ = std::move(other.family_);
+    pool_ = std::move(other.pool_);
+    file_ = std::move(other.file_);
+    options_ = other.options_;
+    derived_ = other.derived_;
+    num_objects_ = other.num_objects_;
+    dim_ = other.dim_;
+    radius_cap_ = other.radius_cap_;
+    first_data_page_ = other.first_data_page_;
+    stored_objects_ = other.stored_objects_;
+    path_ = std::move(other.path_);
+    env_ = other.env_;
+    wal_ = std::move(other.wal_);
+    applied_lsn_ = other.applied_lsn_;
+    overlay_vectors_ = std::move(other.overlay_vectors_);
+    deleted_ids_ = std::move(other.deleted_ids_);
+  }
+  return *this;
+}
+
 Result<DiskC2lshIndex> DiskC2lshIndex::Open(const std::string& path, size_t pool_pages,
                                             Env* env) {
   DiskC2lshIndex index;
@@ -359,6 +389,7 @@ Status DiskC2lshIndex::ApplyRecord(const WriteAheadLog::Record& rec) {
 }
 
 Status DiskC2lshIndex::Insert(ObjectId id, const float* v) {
+  WriterMutexLock lock(&mu_);
   if (wal_ == nullptr) {
     return Status::Internal("DiskC2lshIndex: no WAL attached");
   }
@@ -374,7 +405,9 @@ Status DiskC2lshIndex::Insert(ObjectId id, const float* v) {
   // WAL first, sync second, apply third: the mutation is acknowledged only
   // once it would survive a crash, and the in-memory state never runs ahead
   // of the log.
+  // analyze-ok(lock-order): the append and sync run in the writer section so LSNs follow apply order and every query after the ack sees the insert.
   C2LSH_RETURN_IF_ERROR(wal_->Append(rec));
+  // analyze-ok(lock-order): the ack waits for this sync; readers queue behind it by design (mutators are exclusive).
   C2LSH_RETURN_IF_ERROR(wal_->Sync());
   C2LSH_RETURN_IF_ERROR(ApplyRecord(rec));
   UpdateMutationGauges();
@@ -382,6 +415,7 @@ Status DiskC2lshIndex::Insert(ObjectId id, const float* v) {
 }
 
 Status DiskC2lshIndex::Delete(ObjectId id) {
+  WriterMutexLock lock(&mu_);
   if (wal_ == nullptr) {
     return Status::Internal("DiskC2lshIndex: no WAL attached");
   }
@@ -393,7 +427,9 @@ Status DiskC2lshIndex::Delete(ObjectId id) {
   rec.lsn = std::max(wal_->last_lsn(), applied_lsn_) + 1;  // see Insert
   rec.type = WriteAheadLog::RecordType::kDelete;
   rec.id = id;
+  // analyze-ok(lock-order): WAL-first in the writer section, as in Insert.
   C2LSH_RETURN_IF_ERROR(wal_->Append(rec));
+  // analyze-ok(lock-order): the ack waits for this sync, as in Insert.
   C2LSH_RETURN_IF_ERROR(wal_->Sync());
   C2LSH_RETURN_IF_ERROR(ApplyRecord(rec));
   UpdateMutationGauges();
@@ -401,11 +437,14 @@ Status DiskC2lshIndex::Delete(ObjectId id) {
 }
 
 Status DiskC2lshIndex::Flush() {
+  WriterMutexLock lock(&mu_);
+  // analyze-ok(lock-order): Flush is a mutator — exclusive so the synced WAL and header match one image (serving calls it once, at drain).
   if (wal_ != nullptr) C2LSH_RETURN_IF_ERROR(wal_->Sync());
+  // analyze-ok(lock-order): same exclusive section as the WAL sync above.
   return file_->Sync();
 }
 
-size_t DiskC2lshIndex::OverlayEntries() const {
+size_t DiskC2lshIndex::OverlayEntriesLocked() const {
   size_t total = 0;
   for (const DiskBucketTable& table : tables_) total += table.OverlayEntries();
   return total;
@@ -413,12 +452,13 @@ size_t DiskC2lshIndex::OverlayEntries() const {
 
 void DiskC2lshIndex::UpdateMutationGauges() const {
   const DiskMetrics& m = Metrics();
-  m.overlay_entries->Set(static_cast<double>(OverlayEntries()));
+  m.overlay_entries->Set(static_cast<double>(OverlayEntriesLocked()));
   m.tombstones->Set(static_cast<double>(deleted_ids_.size()));
 }
 
 Status DiskC2lshIndex::Compact() {
   obs::ScopedSpan compact_span(obs::SpanSubsystem::kCompaction, "disk_compact");
+  WriterMutexLock lock(&mu_);
   if (wal_ == nullptr) {
     return Status::Internal("DiskC2lshIndex: no WAL attached");
   }
@@ -455,7 +495,7 @@ Status DiskC2lshIndex::Compact() {
         std::memcpy(segment.data() + id * vec_bytes, ov->second.data(), vec_bytes);
       } else if (id < stored_objects_) {
         C2LSH_RETURN_IF_ERROR(ReadStoredVector(static_cast<ObjectId>(id),
-                                               vec.data(), nullptr));
+                                               vec.data(), nullptr, nullptr));
         std::memcpy(segment.data() + id * vec_bytes, vec.data(), vec_bytes);
       }
     }
@@ -508,6 +548,7 @@ Status DiskC2lshIndex::Compact() {
       WriteMetaBlob(pool_.get(), options_, derived_, new_n, dim_, radius_cap_,
                     new_first_data_page, folded_lsn, new_n, *family_, roots));
   file_->SetUserRoot(meta_root);
+  // analyze-ok(lock-order): Compact is exclusive — queries must not read tables_ while the fold publishes and swaps them in.
   C2LSH_RETURN_IF_ERROR(pool_->FlushAll());
 
   // 5. The new image is durable: swap it in and truncate the log. A failure
@@ -520,6 +561,7 @@ Status DiskC2lshIndex::Compact() {
   applied_lsn_ = folded_lsn;
   overlay_vectors_.clear();
   deleted_ids_.clear();
+  // analyze-ok(lock-order): the log truncation belongs to the same exclusive fold (a concurrent Insert would append to a log being reset).
   C2LSH_RETURN_IF_ERROR(wal_->Reset());
 
   const DiskMetrics& m = Metrics();
@@ -530,7 +572,8 @@ Status DiskC2lshIndex::Compact() {
 }
 
 Status DiskC2lshIndex::ReadStoredVector(ObjectId id, float* out,
-                                        const QueryContext* ctx) const {
+                                        const QueryContext* ctx,
+                                        FetchCounts* counts) const {
   const size_t page_bytes = pool_->page_bytes();
   const size_t vec_bytes = dim_ * sizeof(float);
   size_t byte_off = static_cast<size_t>(id) * vec_bytes;
@@ -540,7 +583,8 @@ Status DiskC2lshIndex::ReadStoredVector(ObjectId id, float* out,
     const PageId page_id = first_data_page_ + (byte_off / page_bytes);
     const size_t in_page = byte_off % page_bytes;
     const size_t chunk = std::min(page_bytes - in_page, vec_bytes - copied);
-    C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page, pool_->Fetch(page_id, ctx));
+    C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page,
+                           pool_->Fetch(page_id, ctx, counts));
     std::memcpy(dst + copied, page.data() + in_page, chunk);
     copied += chunk;
     byte_off += chunk;
@@ -548,8 +592,8 @@ Status DiskC2lshIndex::ReadStoredVector(ObjectId id, float* out,
   return Status::OK();
 }
 
-Status DiskC2lshIndex::LoadVector(ObjectId id, float* out,
-                                  const QueryContext* ctx) const {
+Status DiskC2lshIndex::LoadVector(ObjectId id, float* out, const QueryContext* ctx,
+                                  FetchCounts* counts) const {
   // Dynamic inserts live in the resident overlay until a compaction moves
   // them into the data segment; their reads cost no I/O.
   const auto it = overlay_vectors_.find(id);
@@ -561,13 +605,16 @@ Status DiskC2lshIndex::LoadVector(ObjectId id, float* out,
     return Status::Corruption("DiskC2lshIndex: object " + std::to_string(id) +
                               " has no stored vector");
   }
-  return ReadStoredVector(id, out, ctx);
+  return ReadStoredVector(id, out, ctx, counts);
 }
 
 // The round engine's disk seams for one query: bucket runs come through the
 // BufferPool with the query's context (measured misses charged as index
 // pages), candidate vectors from the caller's Dataset (modelled pages) or
-// the stored data segment (measured misses charged as data pages).
+// the stored data segment (measured misses charged as data pages). Every
+// fetch is charged to the query's own FetchCounts, never read back from the
+// pool-wide stats, so queries running side by side each measure their own
+// I/O. Lives inside QueryOne, under the index's shared lock.
 class DiskC2lshIndex::Source final : public batch::Source {
  public:
   Source(const DiskC2lshIndex& index, const Dataset* data, const QueryContext* ctx)
@@ -576,7 +623,6 @@ class DiskC2lshIndex::Source final : public batch::Source {
         index_(index),
         data_(data),
         ctx_(ctx),
-        pool_before_(index.pool_->stats()),
         vector_pages_(PageModel(index.options_.page_bytes).PagesPerVector(index.dim_)),
         vector_buf_(index.dim_) {}
 
@@ -587,10 +633,11 @@ class DiskC2lshIndex::Source final : public batch::Source {
     if (ctx_ != nullptr && ctx_->CheckNow() != Termination::kNone) {
       return Status::Unavailable("DiskC2LSH: query context ended");
     }
-    const uint64_t misses_before = index_.pool_->stats().misses;
+    const uint64_t misses_before = counts_.misses;
     Result<size_t> visited = index_.tables_[table].ForEachInRange(
-        range.lo, range.hi, [out](ObjectId id) { out->ids.push_back(id); }, ctx_);
-    out->index_pages = index_.pool_->stats().misses - misses_before;
+        range.lo, range.hi, [out](ObjectId id) { out->ids.push_back(id); }, ctx_,
+        &counts_);
+    out->index_pages = counts_.misses - misses_before;
     if (!visited.ok()) return visited.status();
     out->buckets_scanned = visited.value();
     return Status::OK();
@@ -607,9 +654,9 @@ class DiskC2lshIndex::Source final : public batch::Source {
       *pages += vector_pages_;  // modelled (external data)
       return Status::OK();
     }
-    const uint64_t misses_before = index_.pool_->stats().misses;
-    C2LSH_RETURN_IF_ERROR(index_.LoadVector(id, vector_buf_.data(), ctx_));
-    *pages += index_.pool_->stats().misses - misses_before;
+    const uint64_t misses_before = counts_.misses;
+    C2LSH_RETURN_IF_ERROR(index_.LoadVector(id, vector_buf_.data(), ctx_, &counts_));
+    *pages += counts_.misses - misses_before;
     *vec = vector_buf_.data();
     return Status::OK();
   }
@@ -621,18 +668,17 @@ class DiskC2lshIndex::Source final : public batch::Source {
   }
 
   void Finish(batch::QueryRecord* record) const override {
-    const BufferPoolStats now = index_.pool_->stats();
-    record->pool_hits = now.hits - pool_before_.hits;
-    record->pool_misses = now.misses - pool_before_.misses;
+    record->pool_hits = counts_.hits;
+    record->pool_misses = counts_.misses;
   }
 
  private:
   const DiskC2lshIndex& index_;
   const Dataset* data_;
   const QueryContext* ctx_;
-  const BufferPoolStats pool_before_;
   const uint64_t vector_pages_;
   std::vector<float> vector_buf_;
+  FetchCounts counts_;  ///< this query's pool traffic
 };
 
 Status DiskC2lshIndex::CheckVectorSource(const Dataset* data) const {
@@ -655,6 +701,7 @@ Result<NeighborList> DiskC2lshIndex::Query(const float* query, size_t k,
                                            DiskQueryStats* stats,
                                            obs::QueryTrace* trace,
                                            const QueryContext* ctx) const {
+  ReaderMutexLock lock(&mu_);
   return QueryOne(nullptr, query, k, stats, trace, ctx);
 }
 
@@ -662,12 +709,14 @@ Result<NeighborList> DiskC2lshIndex::Query(const Dataset& data, const float* que
                                            size_t k, DiskQueryStats* stats,
                                            obs::QueryTrace* trace,
                                            const QueryContext* ctx) const {
+  ReaderMutexLock lock(&mu_);
   return QueryOne(&data, query, k, stats, trace, ctx);
 }
 
 Result<std::vector<NeighborList>> DiskC2lshIndex::QueryBatch(
     const FloatMatrix& queries, size_t k, std::vector<DiskQueryStats>* stats,
     const std::vector<const QueryContext*>& contexts) const {
+  ReaderMutexLock lock(&mu_);
   return QueryRows(nullptr, queries, k, stats, contexts);
 }
 
@@ -675,6 +724,7 @@ Result<std::vector<NeighborList>> DiskC2lshIndex::QueryBatch(
     const Dataset& data, const FloatMatrix& queries, size_t k,
     std::vector<DiskQueryStats>* stats,
     const std::vector<const QueryContext*>& contexts) const {
+  ReaderMutexLock lock(&mu_);
   return QueryRows(&data, queries, k, stats, contexts);
 }
 

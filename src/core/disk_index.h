@@ -27,6 +27,13 @@
 // segment), publishes the new meta root atomically through the PageFile
 // header's user_root, then truncates the log; a crash at any point recovers
 // either the pre- or post-compaction image, both complete.
+//
+// Concurrency: queries are concurrent readers — any number of Query /
+// QueryBatch calls may run on one index at once, each holding the index's
+// SharedMutex in shared mode and charging only its own pool fetches to its
+// stats and page budget (BufferPool::Fetch's FetchCounts). Mutators —
+// Insert, Delete, Compact, Flush — hold it exclusively: each waits for the
+// in-flight queries, and queries arriving meanwhile wait for it.
 
 #pragma once
 #ifndef C2LSH_CORE_DISK_INDEX_H_
@@ -45,6 +52,7 @@
 #include "src/storage/disk_bucket_table.h"
 #include "src/storage/page_file.h"
 #include "src/storage/wal.h"
+#include "src/util/mutex.h"
 #include "src/util/query_context.h"
 #include "src/util/result.h"
 #include "src/vector/dataset.h"
@@ -80,36 +88,41 @@ class DiskC2lshIndex {
   static Result<DiskC2lshIndex> Open(const std::string& path, size_t pool_pages = 256,
                                      Env* env = nullptr);
 
+  /// Moves are NOT thread-safe: both indexes must be quiescent (no query or
+  /// mutation in flight). The lock is not moved — each index keeps its own,
+  /// as BufferPool does.
+  DiskC2lshIndex(DiskC2lshIndex&& other) noexcept;
+  DiskC2lshIndex& operator=(DiskC2lshIndex&& other) noexcept;
+
   /// Dynamic insert: logs (id, vector) to the WAL, syncs, and only then
   /// applies the mutation to the per-table overlays — a return of OK means
   /// the insert survives any crash. The id becomes the new high-water when
-  /// it extends the id space. Mutators and queries on a DiskC2lshIndex share
-  /// the buffer pool's measured statistics, the overlays and the single WAL
-  /// cursor: callers must serialize Insert/Delete/Compact/Query externally
-  /// (single-writer, single-reader; the in-memory C2lshIndex is the
-  /// concurrent-query engine).
-  Status Insert(ObjectId id, const float* v);
+  /// it extends the id space. Exclusive: holds the index lock for the whole
+  /// append-sync-apply, so no query sees a half-applied mutation and every
+  /// query that starts after the return sees it. Safe to call concurrently
+  /// with queries and other mutators.
+  Status Insert(ObjectId id, const float* v) EXCLUDES(mu_);
 
   /// Dynamic delete: logs a tombstone, syncs, then hides `id` from every
   /// table. NotFound if `id` was never registered. Same durability and
-  /// serialization contract as Insert.
-  Status Delete(ObjectId id);
+  /// locking contract as Insert.
+  Status Delete(ObjectId id) EXCLUDES(mu_);
 
   /// Folds overlays, tombstones, and overlay vectors into freshly written
   /// bucket runs (and data segment), atomically publishes the new meta root
   /// via the PageFile header, then truncates the WAL. Old pages stay in the
   /// file as dead space until the next full rebuild — crash safety over
   /// space reuse. A crash anywhere during compaction recovers either the old
-  /// image (plus WAL replay) or the new one, never a mix.
-  Status Compact();
+  /// image (plus WAL replay) or the new one, never a mix. Exclusive, like
+  /// Insert.
+  Status Compact() EXCLUDES(mu_);
 
   /// Forces everything to durable storage without changing the image: syncs
   /// the WAL (a no-op for already-acked mutations, which sync before ack)
   /// and the PageFile (publishing its current header generation). The
   /// serving layer calls this per index during graceful drain so a
-  /// post-drain kill -9 loses nothing. Same external-serialization contract
-  /// as Insert.
-  Status Flush();
+  /// post-drain kill -9 loses nothing. Exclusive, like Insert.
+  Status Flush() EXCLUDES(mu_);
 
   /// c-k-ANN query against the stored data segment. Requires the index to
   /// have been built with store_vectors = true. `trace`, when non-null,
@@ -119,27 +132,28 @@ class DiskC2lshIndex {
   /// (measured pool misses) the query returns best-effort partial results
   /// with termination kDeadline / kCancelled — never an error; an expired
   /// context also stops in-flight transient-fault retries (util/retry.h).
-  /// Single-reader: queries must be serialized with each other and against
-  /// Insert/Delete/Compact (see Insert).
+  /// A concurrent reader (see the file comment): `stats` and the page budget
+  /// count this query's own pool fetches only, whatever else runs beside it.
   Result<NeighborList> Query(const float* query, size_t k,
                              DiskQueryStats* stats = nullptr,
                              obs::QueryTrace* trace = nullptr,
-                             const QueryContext* ctx = nullptr) const;
+                             const QueryContext* ctx = nullptr) const EXCLUDES(mu_);
 
   /// c-k-ANN query verifying against the caller's dataset (works with or
   /// without a stored data segment); identical answers to the in-memory
-  /// C2lshIndex built with the same options/seed. Single-threaded: same
-  /// serialization contract as the stored-vector Query above.
+  /// C2lshIndex built with the same options/seed. A concurrent reader, like
+  /// the stored-vector Query above.
   Result<NeighborList> Query(const Dataset& data, const float* query, size_t k,
                              DiskQueryStats* stats = nullptr,
                              obs::QueryTrace* trace = nullptr,
-                             const QueryContext* ctx = nullptr) const;
+                             const QueryContext* ctx = nullptr) const EXCLUDES(mu_);
 
   /// Batched c-k-ANN against the stored data segment: one query per row of
   /// `queries`, answers identical to looping Query() — each row runs as its
-  /// own block of one: the disk index is single-reader (one WAL cursor, one
-  /// buffer pool whose statistics measure each query's I/O), so unlike
+  /// own block of one with its own measured pool traffic, so unlike
   /// C2lshIndex::QueryBatch there are no shared scans and no sharding here.
+  /// The whole batch is one reader: every row sees the same index image, and
+  /// mutators wait for the batch to finish.
   /// `contexts`, when non-empty, holds one (nullable) QueryContext per row
   /// with the usual per-query deadline/cancellation/budget semantics — one
   /// query expiring never perturbs its batchmates. `stats`, when non-null,
@@ -147,7 +161,7 @@ class DiskC2lshIndex {
   Result<std::vector<NeighborList>> QueryBatch(
       const FloatMatrix& queries, size_t k,
       std::vector<DiskQueryStats>* stats = nullptr,
-      const std::vector<const QueryContext*>& contexts = {}) const;
+      const std::vector<const QueryContext*>& contexts = {}) const EXCLUDES(mu_);
 
   /// QueryBatch verifying against the caller's dataset (works with or
   /// without a stored data segment). Same contract as the stored-vector
@@ -155,27 +169,51 @@ class DiskC2lshIndex {
   Result<std::vector<NeighborList>> QueryBatch(
       const Dataset& data, const FloatMatrix& queries, size_t k,
       std::vector<DiskQueryStats>* stats = nullptr,
-      const std::vector<const QueryContext*>& contexts = {}) const;
+      const std::vector<const QueryContext*>& contexts = {}) const EXCLUDES(mu_);
 
-  bool has_stored_vectors() const { return first_data_page_ != 0; }
+  bool has_stored_vectors() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return first_data_page_ != 0;
+  }
 
   const C2lshOptions& options() const { return options_; }
   const C2lshDerived& derived() const { return derived_; }
-  size_t num_objects() const { return num_objects_; }
+  size_t num_objects() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return num_objects_;
+  }
   size_t dim() const { return dim_; }
-  size_t num_tables() const { return tables_.size(); }
+  size_t num_tables() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return tables_.size();
+  }
 
   /// Dynamic inserts awaiting Compact, summed over tables.
-  size_t OverlayEntries() const;
+  size_t OverlayEntries() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return OverlayEntriesLocked();
+  }
   /// Objects deleted but not yet compacted away.
-  size_t NumTombstones() const { return deleted_ids_.size(); }
+  size_t NumTombstones() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return deleted_ids_.size();
+  }
   /// LSN of the last WAL record folded into the published base image.
-  uint64_t applied_lsn() const { return applied_lsn_; }
+  uint64_t applied_lsn() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return applied_lsn_;
+  }
   /// LSN of the last record appended to (or replayed from) the WAL.
-  uint64_t wal_last_lsn() const { return wal_ != nullptr ? wal_->last_lsn() : 0; }
+  uint64_t wal_last_lsn() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return wal_ != nullptr ? wal_->last_lsn() : 0;
+  }
 
   /// Pages in the file — the on-disk index size.
-  uint64_t FilePages() const { return file_->num_pages(); }
+  uint64_t FilePages() const EXCLUDES(mu_) {
+    ReaderMutexLock lock(&mu_);
+    return file_->num_pages();
+  }
 
   /// Cumulative pool statistics (reset by ResetPoolStats). By value: the
   /// pool hands out a snapshot, not a reference into mutex-guarded state.
@@ -202,36 +240,52 @@ class DiskC2lshIndex {
 
   /// OK when candidates can be verified: against `data`, which must match
   /// the index, or (null) against the stored data segment.
-  Status CheckVectorSource(const Dataset* data) const;
+  Status CheckVectorSource(const Dataset* data) const REQUIRES_SHARED(mu_);
 
   /// One query as a block of one through the round engine. `data` may be
   /// null when vectors are stored.
   Result<NeighborList> QueryOne(const Dataset* data, const float* query, size_t k,
                                 DiskQueryStats* stats, obs::QueryTrace* trace,
-                                const QueryContext* ctx) const;
+                                const QueryContext* ctx) const REQUIRES_SHARED(mu_);
 
   /// Validation plus one QueryOne per row, behind both QueryBatch overloads.
   Result<std::vector<NeighborList>> QueryRows(
       const Dataset* data, const FloatMatrix& queries, size_t k,
       std::vector<DiskQueryStats>* stats,
-      const std::vector<const QueryContext*>& contexts) const;
+      const std::vector<const QueryContext*>& contexts) const REQUIRES_SHARED(mu_);
+
+  // The helpers below run with mu_ held — shared for the reads, exclusive
+  // for ApplyRecord and the gauges — or on an index no other thread can see
+  // yet (Build, Open). Unannotated: the round engine's Source and Open's
+  // replay callback reach them where the analysis cannot see the lock.
 
   /// Reads object `id`'s vector from the data segment into `out`
-  /// (dim_ floats), charging the pool. `ctx` bounds the retry loop of the
-  /// underlying page reads.
-  Status ReadStoredVector(ObjectId id, float* out, const QueryContext* ctx) const;
+  /// (dim_ floats), charging the pool and `counts` (nullable). `ctx` bounds
+  /// the retry loop of the underlying page reads.
+  Status ReadStoredVector(ObjectId id, float* out, const QueryContext* ctx,
+                          FetchCounts* counts) const;
 
   /// Vector lookup that sees mutations: overlay vectors first (free — they
   /// are resident), then the data segment. `id` must be live.
-  Status LoadVector(ObjectId id, float* out, const QueryContext* ctx) const;
+  Status LoadVector(ObjectId id, float* out, const QueryContext* ctx,
+                    FetchCounts* counts) const;
 
   /// Applies one WAL record to the in-memory overlays (shared by the live
   /// mutation path and Open's replay, so replayed and acked mutations cannot
   /// diverge).
   Status ApplyRecord(const WriteAheadLog::Record& rec);
 
+  /// OverlayEntries without taking the lock.
+  size_t OverlayEntriesLocked() const;
+
   /// Refreshes the disk-side overlay/tombstone gauges.
   void UpdateMutationGauges() const;
+
+  /// Shared by queries, exclusive for Insert/Delete/Compact/Flush (see the
+  /// file comment). It guards every member a mutator writes: the overlays
+  /// and tombstones, the tables, the WAL cursor, num_objects_, the data
+  /// segment bounds and applied_lsn_. Not moved (see the move constructor).
+  mutable SharedMutex mu_;
 
   C2lshOptions options_;
   C2lshDerived derived_;

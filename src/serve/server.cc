@@ -104,7 +104,7 @@ Status Server::AddIndex(const std::string& name, DiskC2lshIndex index) {
   }
   MutexLock lock(&catalog_mu_);
   auto [it, inserted] =
-      catalog_.emplace(name, std::make_unique<IndexEntry>(std::move(index)));
+      catalog_.emplace(name, std::make_unique<DiskC2lshIndex>(std::move(index)));
   (void)it;
   if (!inserted) {
     return Status::InvalidArgument("server: index '" + name +
@@ -113,7 +113,7 @@ Status Server::AddIndex(const std::string& name, DiskC2lshIndex index) {
   return Status::OK();
 }
 
-Server::IndexEntry* Server::FindIndex(const std::string& name) {
+DiskC2lshIndex* Server::FindIndex(const std::string& name) {
   MutexLock lock(&catalog_mu_);
   auto it = catalog_.find(name);
   return it != catalog_.end() ? it->second.get() : nullptr;
@@ -236,33 +236,31 @@ Response Server::Dispatch(const Request& req) {
   if (!ticket_or.ok()) return ErrorResponse(req.type, ticket_or.status());
   AdmissionController::Ticket ticket = std::move(ticket_or).value();
 
-  IndexEntry* entry = FindIndex(req.index);
-  if (entry == nullptr) {
+  DiskC2lshIndex* index = FindIndex(req.index);
+  if (index == nullptr) {
     return ErrorResponse(
         req.type, Status::NotFound("server: no index '" + req.index + "'"));
   }
 
   obs::ScopedSpan span(obs::SpanSubsystem::kServe, "request", ctx.trace_id);
 
-  // The per-index lock: DiskC2lshIndex is single-writer single-reader, so
-  // queries serialize here too. Admission already bounded how many requests
-  // can be waiting on it.
-  MutexLock lock(&entry->mu);
+  // No server-side lock: the index runs queries side by side and makes
+  // Insert/Delete wait for them (see DiskC2lshIndex).
   switch (req.type) {
     case MsgType::kQuery: {
       if (req.k == 0) {
         return ErrorResponse(
             req.type, Status::InvalidArgument("server: k must be >= 1"));
       }
-      if (req.vector.size() != entry->index.dim()) {
+      if (req.vector.size() != index->dim()) {
         return ErrorResponse(
             req.type,
             Status::InvalidArgument(
                 "server: query dim " + std::to_string(req.vector.size()) +
-                " != index dim " + std::to_string(entry->index.dim())));
+                " != index dim " + std::to_string(index->dim())));
       }
       DiskQueryStats stats;
-      Result<NeighborList> r = entry->index.Query(
+      Result<NeighborList> r = index->Query(
           req.vector.data(), req.k, &stats, /*trace=*/nullptr, &ctx);
       if (!r.ok()) return ErrorResponse(req.type, r.status());
       resp.neighbors = std::move(r).value();
@@ -271,19 +269,19 @@ Response Server::Dispatch(const Request& req) {
       return resp;
     }
     case MsgType::kInsert: {
-      if (req.vector.size() != entry->index.dim()) {
+      if (req.vector.size() != index->dim()) {
         return ErrorResponse(
             req.type,
             Status::InvalidArgument(
                 "server: insert dim " + std::to_string(req.vector.size()) +
-                " != index dim " + std::to_string(entry->index.dim())));
+                " != index dim " + std::to_string(index->dim())));
       }
-      Status s = entry->index.Insert(req.id, req.vector.data());
+      Status s = index->Insert(req.id, req.vector.data());
       if (!s.ok()) return ErrorResponse(req.type, s);
       return resp;  // OK ack: the WAL synced — this insert is durable
     }
     case MsgType::kDelete: {
-      Status s = entry->index.Delete(req.id);
+      Status s = index->Delete(req.id);
       if (!s.ok()) return ErrorResponse(req.type, s);
       return resp;
     }
@@ -358,19 +356,17 @@ DrainReport Server::Drain() NO_THREAD_SAFETY_ANALYSIS {
   report.leaked_tickets = admission_.total_in_flight();
 
   // Flush so a kill -9 after drain loses nothing: WAL sync (no-op for
-  // acked mutations) + page-file sync, per index, under its own lock.
-  // Snapshot the entry pointers first — entries are never removed, so the
-  // addresses are stable and the catalog lock need not pin the fsyncs.
-  std::vector<IndexEntry*> entries;
+  // acked mutations) + page-file sync, per index. Snapshot the index
+  // pointers first — indexes are never removed, so the addresses are stable
+  // and the catalog lock need not pin the fsyncs.
+  std::vector<DiskC2lshIndex*> indexes;
   {
     MutexLock lock(&catalog_mu_);
-    entries.reserve(catalog_.size());
-    for (auto& [name, entry] : catalog_) entries.push_back(entry.get());
+    indexes.reserve(catalog_.size());
+    for (auto& [name, index] : catalog_) indexes.push_back(index.get());
   }
-  for (IndexEntry* entry : entries) {
-    MutexLock entry_lock(&entry->mu);
-    // analyze-ok(lock-order): entry->mu is the index's required external serialization (DiskC2lshIndex is single-writer); every handler already exited, so nothing queues behind this drain-time fsync.
-    Status s = entry->index.Flush();
+  for (DiskC2lshIndex* index : indexes) {
+    Status s = index->Flush();
     if (!s.ok() && report.flush_status.ok()) {
       report.flush_status = std::move(s);
     }

@@ -16,13 +16,13 @@
 // answer before its own deadline, not a dead connection after it. The wire
 // page budget flows into io_page_budget unchanged. Admission (per-tenant
 // partitions + shared overflow, src/serve/tenant_admission.h) is taken
-// BEFORE the per-index lock: a saturated index sheds in admission with
-// Unavailable rather than queueing unboundedly on the mutex.
+// BEFORE the index is touched: a saturated server sheds in admission with
+// Unavailable rather than queueing unboundedly on an index's lock.
 //
-// The catalog holds DiskC2lshIndex instances, each behind its own Mutex:
-// the disk index is documented single-writer single-reader (one scratch,
-// one WAL cursor), so EVERY operation on one index — Query included — is
-// serialized by that index's lock. Cross-index requests proceed in parallel.
+// The catalog holds DiskC2lshIndex instances and handlers call them
+// directly: the index locks itself (src/core/disk_index.h), so queries on
+// one index are concurrent readers and Insert/Delete are exclusive writers
+// that wait for in-flight queries. Cross-index requests never contend.
 //
 // Graceful drain (Drain(), idempotent):
 //   1. readiness flips false (kReady answers 0) and the listener closes —
@@ -34,8 +34,8 @@
 //      next checkpoint with partial results;
 //   4. every connection is Shutdown() — handlers parked in Read unblock —
 //      and the server waits for the accept loop and all handlers to exit;
-//   5. every index Flushes (WAL + file sync) under its lock, so a kill -9
-//      after drain loses nothing.
+//   5. every index Flushes (WAL + file sync), so a kill -9 after drain
+//      loses nothing.
 // The DrainReport says whether the deadline held, how many connections were
 // yanked, and whether any admission tickets leaked (always 0 unless a
 // handler leaked one — the chaos soak asserts this stays 0).
@@ -141,21 +141,12 @@ class Server {
   }
 
  private:
-  /// One catalog slot. The Mutex serializes every operation on the index
-  /// (single-writer single-reader contract); entries are unique_ptr so the
-  /// address survives catalog growth while a handler holds the lock.
-  struct IndexEntry {
-    explicit IndexEntry(DiskC2lshIndex idx) : index(std::move(idx)) {}
-    Mutex mu;
-    DiskC2lshIndex index GUARDED_BY(mu);
-  };
-
   explicit Server(const ServerOptions& options);
 
   void AcceptLoop();
   void HandleConnection(uint64_t id, std::shared_ptr<Connection> conn);
   Response Dispatch(const Request& req);
-  IndexEntry* FindIndex(const std::string& name) EXCLUDES(catalog_mu_);
+  DiskC2lshIndex* FindIndex(const std::string& name) EXCLUDES(catalog_mu_);
 
   ServerOptions options_;  ///< normalized (clamps applied)
   TenantAdmission admission_;
@@ -178,8 +169,10 @@ class Server {
   bool drained_ GUARDED_BY(mu_) = false;
   DrainReport drain_report_ GUARDED_BY(mu_);
 
+  /// Indexes are unique_ptr so a handler's pointer survives catalog growth;
+  /// they are never removed.
   mutable Mutex catalog_mu_;
-  std::map<std::string, std::unique_ptr<IndexEntry>> catalog_
+  std::map<std::string, std::unique_ptr<DiskC2lshIndex>> catalog_
       GUARDED_BY(catalog_mu_);
 
   /// Declared last: destroyed first, joining every worker while the members

@@ -118,12 +118,14 @@ Result<size_t> BufferPool::GrabFrame() {
 }
 
 Result<BufferPool::PageHandle> BufferPool::Fetch(PageId id,
-                                                 const QueryContext* ctx) {
+                                                 const QueryContext* ctx,
+                                                 FetchCounts* counts) {
   const uint64_t trace_id = ctx != nullptr ? ctx->trace_id : 0;
   MutexLock lock(&mu_);
   auto it = page_to_frame_.find(id);
   if (it != page_to_frame_.end()) {
     ++stats_.hits;
+    if (counts != nullptr) ++counts->hits;
     Metrics().hits->Increment();
     obs::TraceInstant(obs::SpanSubsystem::kBufferPool, "pool_hit", trace_id,
                       static_cast<double>(id));
@@ -136,6 +138,7 @@ Result<BufferPool::PageHandle> BufferPool::Fetch(PageId id,
     return PageHandle(this, it->second, f.data.data());
   }
   ++stats_.misses;
+  if (counts != nullptr) ++counts->misses;
   Metrics().misses->Increment();
   obs::ScopedSpan miss_span(obs::SpanSubsystem::kBufferPool, "pool_miss",
                             trace_id);

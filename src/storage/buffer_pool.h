@@ -32,6 +32,14 @@ struct BufferPoolStats {
   }
 };
 
+/// One caller's share of pool traffic: the fetches it made itself, counted
+/// apart from the pool-wide BufferPoolStats so that concurrent callers never
+/// see each other's hits and misses (a disk query's measured I/O).
+struct FetchCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 /// An LRU buffer pool.
 ///
 /// Thread-safety: all pool *metadata* operations (Fetch, NewPage, FlushAll,
@@ -97,8 +105,10 @@ class BufferPool {
   /// ResourceExhausted-like Internal error if every frame is pinned. `ctx`
   /// (nullable) is forwarded to PageFile::ReadPage so transient-fault
   /// retries on a miss respect the query's deadline and cancellation.
-  Result<PageHandle> Fetch(PageId id, const QueryContext* ctx = nullptr)
-      EXCLUDES(mu_);
+  /// `counts` (nullable) is charged with this fetch's hit or miss, exactly
+  /// as the pool-wide stats are.
+  Result<PageHandle> Fetch(PageId id, const QueryContext* ctx = nullptr,
+                           FetchCounts* counts = nullptr) EXCLUDES(mu_);
 
   /// Allocates a fresh page in the file and pins it (zeroed, dirty).
   Result<PageHandle> NewPage(PageId* id_out) EXCLUDES(mu_);

@@ -152,7 +152,7 @@ void DiskBucketTable::OverlayDelete(ObjectId id) {
 
 Result<size_t> DiskBucketTable::ForEachInRange(
     BucketId lo, BucketId hi, const std::function<void(ObjectId)>& fn,
-    const QueryContext* ctx) const {
+    const QueryContext* ctx, FetchCounts* counts) const {
   const auto [begin_idx, end_idx] = EntryRange(lo, hi);
   const size_t per_page = EntriesPerPage();
   size_t visited = 0;
@@ -163,7 +163,7 @@ Result<size_t> DiskBucketTable::ForEachInRange(
     // page and the caller sees a clean partial count.
     if (ctx != nullptr && ctx->CheckNow() != Termination::kNone) return visited;
     const PageId id = first_entry_page_ + page_idx;
-    C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page, pool_->Fetch(id, ctx));
+    C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page, pool_->Fetch(id, ctx, counts));
     const auto* ids = reinterpret_cast<const ObjectId*>(page.data());
     const size_t page_start = page_idx * per_page;
     const size_t from = std::max(begin_idx, page_start) - page_start;

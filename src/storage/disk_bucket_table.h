@@ -30,6 +30,7 @@
 
 #include "src/storage/blob.h"
 #include "src/storage/bucket_table.h"
+#include "src/storage/buffer_pool.h"
 #include "src/util/query_context.h"
 #include "src/util/result.h"
 #include "src/vector/types.h"
@@ -65,10 +66,12 @@ class DiskBucketTable {
   /// deadline/cancellation is checked at every entry-page boundary, and an
   /// expired context stops the scan early, returning the objects visited so
   /// far (not an error) — the caller decides how a partial scan terminates
-  /// the query.
+  /// the query. `counts` (nullable) is charged with the entry-page fetches
+  /// (see BufferPool::Fetch).
   Result<size_t> ForEachInRange(BucketId lo, BucketId hi,
                                 const std::function<void(ObjectId)>& fn,
-                                const QueryContext* ctx = nullptr) const;
+                                const QueryContext* ctx = nullptr,
+                                FetchCounts* counts = nullptr) const;
 
   /// Calls `fn(BucketId, ObjectId)` for every live entry (base run in
   /// directory order, then overlay), fetching entry pages through the pool.

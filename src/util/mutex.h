@@ -1,5 +1,6 @@
-// c2lsh::Mutex / MutexLock: a thin std::mutex wrapper that carries Clang
-// thread-safety annotations, so members declared GUARDED_BY(mu_) are
+// c2lsh::Mutex / MutexLock and c2lsh::SharedMutex / ReaderMutexLock /
+// WriterMutexLock: thin std::mutex / std::shared_mutex wrappers that carry
+// Clang thread-safety annotations, so members declared GUARDED_BY(mu_) are
 // machine-checked under `clang++ -Wthread-safety` (see thread_annotations.h;
 // the annotations compile away under GCC).
 //
@@ -14,6 +15,7 @@
 #define C2LSH_UTIL_MUTEX_H_
 
 #include <mutex>
+#include <shared_mutex>
 
 #include "src/util/thread_annotations.h"
 
@@ -60,6 +62,66 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
+};
+
+/// An annotated reader/writer mutex: any number of readers, or one writer.
+/// Same address-is-identity rule as Mutex (non-copyable, non-movable; a
+/// movable owner constructs a fresh one on move). Use ReaderMutexLock for
+/// read-only sections and WriterMutexLock for mutations.
+///
+/// Writer-preferring: a writer closes `gate_` before it waits for the
+/// readers inside to leave, so readers arriving after it queue behind it.
+/// std::shared_mutex alone (pthread_rwlock on glibc) lets new readers
+/// overtake a waiting writer, and a steady stream of overlapping readers
+/// then starves the writer indefinitely.
+class CAPABILITY("mutex") SharedMutex {
+ public:
+  SharedMutex() = default;
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() ACQUIRE() {
+    std::lock_guard<std::mutex> gate(gate_);
+    mu_.lock();
+  }
+  void Unlock() RELEASE() { mu_.unlock(); }
+  void ReaderLock() ACQUIRE_SHARED() {
+    { std::lock_guard<std::mutex> gate(gate_); }
+    mu_.lock_shared();
+  }
+  void ReaderUnlock() RELEASE_SHARED() { mu_.unlock_shared(); }
+
+ private:
+  std::mutex gate_;  ///< held by a writer while it waits for mu_
+  std::shared_mutex mu_;
+};
+
+/// RAII shared (reader) section over a c2lsh::SharedMutex.
+class SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex* mu) ACQUIRE_SHARED(mu) : mu_(mu) {
+    mu_->ReaderLock();
+  }
+  ~ReaderMutexLock() RELEASE() { mu_->ReaderUnlock(); }
+
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
+};
+
+/// RAII exclusive (writer) section over a c2lsh::SharedMutex.
+class SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
+  ~WriterMutexLock() RELEASE() { mu_->Unlock(); }
+
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
 };
 
 }  // namespace c2lsh

@@ -48,8 +48,17 @@
 /// them before returning.
 #define ACQUIRE(...) C2LSH_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 
+/// The annotated function acquires the listed mutexes in shared (reader)
+/// mode and does not release them before returning.
+#define ACQUIRE_SHARED(...) \
+  C2LSH_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
+
 /// The annotated function releases the listed mutexes.
 #define RELEASE(...) C2LSH_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
+
+/// The annotated function releases the listed mutexes held in shared mode.
+#define RELEASE_SHARED(...) \
+  C2LSH_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 
 /// The annotated function must NOT be called with the listed mutexes held
 /// (it acquires them itself; calling with them held would deadlock).

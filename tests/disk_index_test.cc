@@ -1,11 +1,16 @@
 #include "src/core/disk_index.h"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/storage/disk_bucket_table.h"
+#include "src/util/mutex.h"  // cross-thread state regime (thread-header lint)
 #include "src/util/random.h"
 #include "src/vector/synthetic.h"
 #include "tests/reference_c2lsh.h"
@@ -302,6 +307,171 @@ TEST_F(DiskIndexTest, QueryValidation) {
   EXPECT_TRUE(disk->Query(other->data, pd->queries.row(0), 1)
                   .status()
                   .IsInvalidArgument());
+}
+
+
+// ---------------------------------------------------------------------------
+// Concurrent readers (race label: re-run under TSan). Queries on one index
+// run side by side under its shared lock; each must answer exactly as it
+// does alone and charge only its own pool fetches.
+
+constexpr size_t kReaders = 4;
+constexpr size_t kK = 10;
+
+struct QueryRun {
+  std::vector<NeighborList> results;
+  std::vector<DiskQueryStats> stats;
+};
+
+QueryRun RunSerial(const DiskC2lshIndex& index, const FloatMatrix& queries) {
+  QueryRun run;
+  run.results.resize(queries.num_rows());
+  run.stats.resize(queries.num_rows());
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    auto r = index.Query(queries.row(q), kK, &run.stats[q]);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) run.results[q] = std::move(r).value();
+  }
+  return run;
+}
+
+// kReaders threads released together by a latch; reader t answers rows t,
+// t + kReaders, ... so every reader has queries in flight at once.
+QueryRun RunConcurrent(const DiskC2lshIndex& index, const FloatMatrix& queries) {
+  QueryRun run;
+  run.results.resize(queries.num_rows());
+  run.stats.resize(queries.num_rows());
+  std::latch start(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t q = t; q < queries.num_rows(); q += kReaders) {
+        auto r = index.Query(queries.row(q), kK, &run.stats[q]);
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        if (r.ok()) run.results[q] = std::move(r).value();
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  return run;
+}
+
+// Answers and the deterministic work counts are bitwise those of the serial
+// run, and every query made exactly its serial number of pool fetches.
+void ExpectSameWork(const QueryRun& serial, const QueryRun& concurrent) {
+  ASSERT_EQ(serial.results.size(), concurrent.results.size());
+  for (size_t q = 0; q < serial.results.size(); ++q) {
+    const C2lshQueryStats& want = serial.stats[q].base;
+    const C2lshQueryStats& got = concurrent.stats[q].base;
+    EXPECT_EQ(concurrent.results[q], serial.results[q]) << "q=" << q;
+    EXPECT_EQ(got.termination, want.termination) << "q=" << q;
+    EXPECT_EQ(got.rounds, want.rounds) << "q=" << q;
+    EXPECT_EQ(got.candidates_verified, want.candidates_verified) << "q=" << q;
+    EXPECT_EQ(got.collision_increments, want.collision_increments) << "q=" << q;
+    EXPECT_EQ(concurrent.stats[q].pool_hits + concurrent.stats[q].pool_misses,
+              serial.stats[q].pool_hits + serial.stats[q].pool_misses)
+        << "q=" << q;
+    // Measured pages are the query's own misses, split index/data.
+    EXPECT_EQ(got.index_pages + got.data_pages, concurrent.stats[q].pool_misses)
+        << "q=" << q;
+  }
+}
+
+class DiskIndexConcurrencyTest : public DiskIndexTest {
+ protected:
+  void SetUp() override {
+    DiskIndexTest::SetUp();
+    auto pd = MakeProfileDataset(DatasetProfile::kColor, 1500, 16, 83);
+    ASSERT_TRUE(pd.ok());
+    pd_ = std::make_unique<ProfileData>(std::move(pd).value());
+    C2lshOptions o;
+    o.seed = 89;
+    auto built = DiskC2lshIndex::Build(pd_->data, o, Path("readers.pf"), 8192);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+  }
+
+  std::unique_ptr<ProfileData> pd_;
+};
+
+TEST_F(DiskIndexConcurrencyTest, WarmPoolReadersMatchSerial) {
+  auto index = DiskC2lshIndex::Open(Path("readers.pf"), 8192);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const QueryRun serial = RunSerial(*index, pd_->queries);  // also warms
+  const QueryRun concurrent = RunConcurrent(*index, pd_->queries);
+  ExpectSameWork(serial, concurrent);
+  for (const DiskQueryStats& st : concurrent.stats) EXPECT_EQ(st.pool_misses, 0u);
+  EXPECT_EQ(index->PinnedPoolFrames(), 0u);
+}
+
+// A pool of one frame per reader: concurrent misses evict each other's
+// pages, so every reader's hits and misses depend on the others — yet each
+// query counts its own, and together they account for the pool's exactly.
+TEST_F(DiskIndexConcurrencyTest, TinyColdPoolReadersCountOwnMisses) {
+  const QueryRun serial = [&] {
+    auto index = DiskC2lshIndex::Open(Path("readers.pf"), kReaders);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    return RunSerial(*index, pd_->queries);
+  }();
+  auto index = DiskC2lshIndex::Open(Path("readers.pf"), kReaders);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const BufferPoolStats before = index->pool_stats();
+  const QueryRun concurrent = RunConcurrent(*index, pd_->queries);
+  const BufferPoolStats after = index->pool_stats();
+  ExpectSameWork(serial, concurrent);
+  uint64_t misses = 0, hits = 0;
+  for (const DiskQueryStats& st : concurrent.stats) {
+    misses += st.pool_misses;
+    hits += st.pool_hits;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(misses, after.misses - before.misses);
+  EXPECT_EQ(hits, after.hits - before.hits);
+  EXPECT_EQ(index->PinnedPoolFrames(), 0u);
+}
+
+// A page-budget query beside cold-pool traffic: its budget covers every
+// fetch it makes, so only other queries' misses could exhaust it. It must
+// complete, exactly as it does alone.
+TEST_F(DiskIndexConcurrencyTest, PageBudgetCountsOnlyOwnMisses) {
+  auto index = DiskC2lshIndex::Open(Path("readers.pf"), kReaders);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const float* probe = pd_->queries.row(0);
+  DiskQueryStats alone;
+  auto want = index->Query(probe, kK, &alone);
+  ASSERT_TRUE(want.ok());
+  ASSERT_NE(alone.base.termination, Termination::kDeadline);
+  QueryContext ctx;
+  ctx.io_page_budget = alone.pool_hits + alone.pool_misses + 1;
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> traffic{0};
+  std::vector<std::thread> others;
+  for (size_t t = 1; t < kReaders; ++t) {
+    others.emplace_back([&, t] {
+      for (size_t q = t; !done.load(); q = q % (pd_->queries.num_rows() - 1) + 1) {
+        EXPECT_TRUE(index->Query(pd_->queries.row(q), kK).ok());
+        traffic.fetch_add(1);
+      }
+    });
+  }
+  // Keep probing until other queries demonstrably ran alongside. EXPECT,
+  // not ASSERT: the loop must end and join the other threads.
+  for (int i = 0; i < 3 || traffic.load() < kReaders; ++i) {
+    DiskQueryStats st;
+    auto got = index->Query(probe, kK, &st, /*trace=*/nullptr, &ctx);
+    if (!got.ok()) {
+      ADD_FAILURE() << got.status().ToString();
+      break;
+    }
+    EXPECT_EQ(*got, *want);
+    EXPECT_EQ(st.base.termination, alone.base.termination);
+    EXPECT_EQ(st.base.index_pages + st.base.data_pages, st.pool_misses);
+    EXPECT_LT(st.pool_misses, ctx.io_page_budget);
+  }
+  done.store(true);
+  for (std::thread& t : others) t.join();
+  EXPECT_EQ(index->PinnedPoolFrames(), 0u);
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // propagation into QueryContext with the server margin, health/readiness
 // probes, admission shed surfaced as kUnavailable, unknown index as
 // kNotFound, graceful drain (idempotent, readiness flip, ticket/connection
-// leak accounting), and malformed-frame handling.
+// leak accounting), malformed-frame handling, and concurrent connections on
+// one index (readers side by side, a writer interleaving with them).
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/serve/transport_posix.h"
+#include "src/util/mutex.h"  // cross-thread state regime (thread-header lint)
 #include "src/vector/dataset.h"
 #include "src/vector/synthetic.h"
 
@@ -49,6 +53,10 @@ class ServerTest : public ::testing::Test {
     C2LSH_ASSIGN_OR_RETURN(FloatMatrix m, GenerateGaussianMixture(mc));
     RescaleToTargetNN(&m, 8.0, 11);
     row0_.assign(m.row(0), m.row(0) + m.dim());
+    rows_.clear();
+    for (size_t i = 0; i < m.num_rows(); ++i) {
+      rows_.emplace_back(m.row(i), m.row(i) + m.dim());
+    }
     C2LSH_ASSIGN_OR_RETURN(Dataset data, Dataset::Create("d", std::move(m)));
     C2lshOptions options;
     options.seed = 11;
@@ -88,6 +96,7 @@ class ServerTest : public ::testing::Test {
   std::filesystem::path dir_;
   InprocTransport transport_;
   std::vector<float> row0_;  ///< exact copy of data row 0, for ~0-dist hits
+  std::vector<std::vector<float>> rows_;  ///< every data row of the index
 };
 
 Request QueryReq(const std::vector<float>& vec, uint32_t k = 5,
@@ -344,6 +353,127 @@ TEST_F(ServerTest, PosixTransportSmoke) {
   DrainReport report = server->Drain();
   EXPECT_TRUE(report.met_deadline);
   EXPECT_EQ(report.leaked_tickets, 0u);
+}
+
+
+// Several connections query one index at once; each answer is exactly what
+// the index gives when queried directly.
+TEST_F(ServerTest, ConcurrentReadersMatchDirectQuery) {
+  auto server_or = StartServer(ServerOptions());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto direct = BuildIndex("direct.pf");
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  std::vector<NeighborList> want(rows_.size());
+  for (size_t q = 0; q < rows_.size(); ++q) {
+    auto r = direct->Query(rows_[q].data(), 5);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    want[q] = std::move(r).value();
+  }
+
+  constexpr size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const std::string tenant = "reader" + std::to_string(c);
+      for (size_t i = 0; i < rows_.size(); ++i) {
+        const size_t q = (c + i * kClients) % rows_.size();
+        auto resp = Call(QueryReq(rows_[q], 5, tenant));
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        ASSERT_EQ(resp->code, StatusCode::kOk) << resp->message;
+        EXPECT_FALSE(IsEarlyStop(resp->termination));
+        EXPECT_EQ(resp->neighbors, want[q]) << "q=" << q;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+}
+
+// One writer connection inserts and deletes while reader connections
+// query. A reader samples what the writer has had acknowledged before each
+// query: every acked insert must be found (an exact duplicate at distance
+// ~0) and no acked delete may surface.
+TEST_F(ServerTest, WriterInterleavesWithConcurrentReaders) {
+  auto server_or = StartServer(ServerOptions());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  const ObjectId first_new = static_cast<ObjectId>(rows_.size());
+  constexpr size_t kInserts = 12;
+  constexpr size_t kReaders = 3;
+  auto inserted = [&](size_t i) {
+    std::vector<float> v = row0_;
+    v[0] += 100.0f * static_cast<float>(i + 1);  // far from all else
+    return v;
+  };
+  // Deletes take base rows from the top: after d acked deletes, ids
+  // [rows_.size() - d, rows_.size()) are gone.
+  auto deleted_id = [&](size_t d) {
+    return static_cast<ObjectId>(rows_.size() - 1 - d);
+  };
+
+  std::atomic<size_t> acked_inserts{0};
+  std::atomic<size_t> acked_deletes{0};
+  std::atomic<bool> writer_done{false};
+  auto write_all = [&] {
+    for (size_t i = 0; i < kInserts; ++i) {
+      Request ins;
+      ins.type = MsgType::kInsert;
+      ins.tenant = "writer";
+      ins.index = "main";
+      ins.id = first_new + static_cast<ObjectId>(i);
+      ins.vector = inserted(i);
+      auto resp = Call(ins);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      ASSERT_EQ(resp->code, StatusCode::kOk) << resp->message;
+      acked_inserts.store(i + 1);
+      if (i % 2 == 1) {
+        Request del;
+        del.type = MsgType::kDelete;
+        del.tenant = "writer";
+        del.index = "main";
+        del.id = deleted_id(acked_deletes.load());
+        resp = Call(del);
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        ASSERT_EQ(resp->code, StatusCode::kOk) << resp->message;
+        acked_deletes.fetch_add(1);
+      }
+    }
+  };
+  std::thread writer([&] {
+    write_all();  // returns early on a failed assertion; readers still stop
+    writer_done.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const std::string tenant = "reader" + std::to_string(r);
+      for (size_t iter = 0; !writer_done.load() || iter < 4; ++iter) {
+        const size_t inserts = acked_inserts.load();
+        const size_t deletes = acked_deletes.load();
+        if (inserts > 0) {
+          const size_t i = (r + iter) % inserts;
+          auto resp = Call(QueryReq(inserted(i), 3, tenant));
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          ASSERT_EQ(resp->code, StatusCode::kOk) << resp->message;
+          ASSERT_FALSE(resp->neighbors.empty());
+          EXPECT_EQ(resp->neighbors[0].id, first_new + static_cast<ObjectId>(i))
+              << "acked insert " << i << " not visible";
+          EXPECT_LE(resp->neighbors[0].dist, 1e-3f);
+        }
+        if (deletes > 0) {
+          const ObjectId gone = deleted_id((r + iter) % deletes);
+          auto resp = Call(QueryReq(rows_[gone], 5, tenant));
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          ASSERT_EQ(resp->code, StatusCode::kOk) << resp->message;
+          for (const Neighbor& nb : resp->neighbors) {
+            EXPECT_FALSE(nb.id >= rows_.size() - deletes && nb.id < rows_.size())
+                << "acked delete " << nb.id << " surfaced";
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
 }
 
 }  // namespace

@@ -12,11 +12,16 @@ subsystem usually means a few additions here, not a new pass.
 
 # RAII scope types that acquire on construction and release at end of scope.
 # The token frontend recognizes `TYPE name(&expr)` / `TYPE<..> name(expr)`.
-RAII_LOCK_TYPES = {"MutexLock", "lock_guard", "unique_lock", "scoped_lock"}
+# Reader (shared) sections count as held: a blocking call under a reader
+# lock still stalls every writer queued behind it.
+RAII_LOCK_TYPES = {
+    "MutexLock", "lock_guard", "unique_lock", "scoped_lock",
+    "ReaderMutexLock", "WriterMutexLock", "shared_lock",
+}
 
 # Manual acquire/release method names on lock objects.
-MANUAL_ACQUIRE = {"Lock", "lock"}
-MANUAL_RELEASE = {"Unlock", "unlock"}
+MANUAL_ACQUIRE = {"Lock", "lock", "ReaderLock", "lock_shared"}
+MANUAL_RELEASE = {"Unlock", "unlock", "ReaderUnlock", "unlock_shared"}
 MANUAL_TRY = {"try_lock", "TryLock"}
 
 # Condition-variable waits. These *release* the innermost lock while waiting,
